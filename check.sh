@@ -146,7 +146,13 @@ case "${MODE}" in
     gate default build tier1
     bench_gate
     lint_gate
-    gate build-asan build-asan tier1
+    # Stack use-after-return detection: a pool worker touching a caller's
+    # stack frame after the call returned otherwise surfaces as an
+    # anonymous SEGV, if at all.
+    (
+      export ASAN_OPTIONS="detect_stack_use_after_return=1${ASAN_OPTIONS:+:${ASAN_OPTIONS}}"
+      gate build-asan build-asan tier1
+    )
     gate build-ubsan build-ubsan tier1
     gate build-tsan build-tsan "tier1|tsan"
     ;;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
+#include <memory>
 
+#include "concurrency/latch.hpp"
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
 #include "obs/wall_clock.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace vgbl {
 
@@ -85,42 +85,30 @@ void ThreadPool::parallel_for_chunks(i64 begin, i64 end,
   }
 
   // The submitting thread steals chunks too, so progress is guaranteed even
-  // if all workers are busy with unrelated tasks.
+  // if all workers are busy with unrelated tasks. Completion state lives in
+  // storage every helper co-owns: the helper that finishes the last chunk
+  // may still be inside count_down() when the caller wakes and returns.
   auto next = std::make_shared<std::atomic<i64>>(0);
-  auto remaining = std::make_shared<std::atomic<i64>>(chunks);
-  Mutex done_mutex;
-  std::condition_variable_any done_cv;
+  auto done = std::make_shared<CountdownLatch>(chunks);
 
-  auto run_chunks = [=, &fn]() {
+  auto run_chunks = [=, &fn] {
     while (true) {
       const i64 c = next->fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return false;
+      if (c >= chunks) return;
       const i64 lo = begin + c * grain;
       const i64 hi = std::min(end, lo + grain);
       fn(lo, hi);
-      if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) return true;
+      done->count_down();
     }
   };
 
   const i64 helpers =
       std::min<i64>(static_cast<i64>(thread_count()), chunks - 1);
   for (i64 i = 0; i < helpers; ++i) {
-    const bool accepted = queue_.try_push([run_chunks, &done_mutex, &done_cv] {
-      if (run_chunks()) {
-        MutexLock lock(done_mutex);
-        done_cv.notify_all();
-      }
-    });
-    if (accepted) note_submitted();
+    if (queue_.try_push(run_chunks)) note_submitted();
   }
-  if (run_chunks()) {
-    done_cv.notify_all();
-  }
-
-  UniqueLock lock(done_mutex);
-  while (remaining->load(std::memory_order_acquire) != 0) {
-    done_cv.wait(lock);
-  }
+  run_chunks();
+  done->wait();
 }
 
 void ThreadPool::parallel_for(i64 begin, i64 end,

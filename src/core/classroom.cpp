@@ -3,126 +3,22 @@
 #include <algorithm>
 #include <optional>
 
-#include "concurrency/thread_pool.hpp"
 #include "core/classroom_engine.hpp"
-#include "obs/macros.hpp"
-#include "obs/trace.hpp"
 #include "obs/wall_clock.hpp"
 #include "sim/classroom_des.hpp"
 #include "util/text.hpp"
 
 namespace vgbl {
 
-namespace {
-
-/// Simulates one student, start to finish, on the legacy thread-per-student
-/// engine. Reads only immutable shared state (the bundle, the options) plus
-/// the student's own store files, so any number of these can run
-/// concurrently. Returns nullopt when a session cannot be opened/started
-/// (that student is skipped, as before). Kept as the differential-testing
-/// oracle for the DES engine (tests/classroom_differential_test.cpp).
-std::optional<StudentResult> run_student(
-    const std::shared_ptr<const GameBundle>& bundle,
-    const ClassroomOptions& options, int index) {
-  const i64 t0_us = obs::wall_now_us();
-  const BotPolicy policy = classroom_engine::student_policy(options, index);
-  const u64 bot_seed = classroom_student_seed(options.seed, index + 1);
-
-  StudentResult r;
-  r.student_id = index + 1;
-  r.policy = policy;
-  auto finish = [&](StudentResult result) {
-    result.wall_ms = static_cast<f64>(obs::wall_now_us() - t0_us) / 1000.0;
-    return result;
-  };
-
-  if (options.store == nullptr) {
-    SimClock clock;
-    // The span stamps the student's own sim clock — observe-only, so the
-    // determinism contract is untouched (DESIGN.md §5d).
-    VGBL_SPAN("classroom.student", &clock);
-    SessionOptions session_options;
-    session_options.reward_rules = options.reward_rules;
-    // Synchronous decode, matching the DES engine's sessions: simulated
-    // students gain nothing from decode-ahead threads, and the oracle
-    // should construct its sessions exactly like the engine under test.
-    session_options.decode_threads = 0;
-    GameSession session(bundle, &clock, session_options);
-    if (!session.start().ok()) return std::nullopt;
-
-    const BotResult bot = run_bot(session, clock, policy,
-                                  options.max_steps_per_student, bot_seed);
-    classroom_engine::fill_student_result(r, session, clock, bot);
-    classroom_engine::commit_unlocks(
-        options.badge_store, "student-" + std::to_string(index + 1), r);
-    return finish(r);
-  }
-
-  // Persisted run: play half the budget, suspend to disk (checkpoint +
-  // session teardown), then resume from the store and finish. The resumed
-  // session continues from the snapshot exactly where the first half left
-  // off — bots mutate sessions directly, so suspension rides the
-  // snapshot path rather than the input journal.
-  VGBL_SPAN("classroom.student");
-  const std::string student = "student-" + std::to_string(index + 1);
-  (void)options.store->remove_session(student);
-  const int first_half = options.max_steps_per_student / 2;
-
-  auto opened = options.store->open_session(bundle, student);
-  if (!opened.ok()) return std::nullopt;
-  BotResult bot = run_bot(opened.value()->session(), opened.value()->clock(),
-                          policy, first_half, bot_seed);
-  if (!opened.value()->checkpoint().ok()) return std::nullopt;
-  opened.value().reset();  // suspend: the live session is gone
-
-  auto resumed = options.store->open_session(bundle, student);
-  if (!resumed.ok()) return std::nullopt;
-  PersistedSession& ps = *resumed.value();
-  if (!bot.completed) {
-    const BotResult rest =
-        run_bot(ps.session(), ps.clock(), policy,
-                options.max_steps_per_student - first_half, bot_seed + 1);
-    bot.steps += rest.steps;
-    bot.completed = rest.completed;
-    bot.succeeded = rest.succeeded;
-  }
-  (void)ps.checkpoint();
-
-  r.resumed = ps.resumed();
-  classroom_engine::fill_student_result(r, ps.session(), ps.clock(), bot);
-  classroom_engine::commit_unlocks(options.badge_store, student, r);
-  return finish(r);
-}
-
-}  // namespace
-
 ClassroomSummary simulate_classroom(std::shared_ptr<const GameBundle> bundle,
                                     const ClassroomOptions& options) {
   // Every student writes only its own pre-allocated slot; aggregation
   // happens after the run barrier, in index order. That plus the pure
-  // per-student seeding makes every engine/thread/shard combination
-  // bit-identical to the sequential legacy run.
+  // per-student seeding makes every thread/shard combination bit-identical.
   const i64 run_started_us = obs::wall_now_us();
   std::vector<std::optional<StudentResult>> results(
       static_cast<size_t>(std::max(0, options.student_count)));
-
-  if (options.engine == ClassroomEngine::kDes) {
-    sim::run_classroom_des(bundle, options, results);
-  } else {
-    auto run_one = [&](i64 i) {
-      results[static_cast<size_t>(i)] =
-          run_student(bundle, options, static_cast<int>(i));
-    };
-    if (options.worker_threads > 0 && options.student_count > 1) {
-      ThreadPool pool(static_cast<unsigned>(options.worker_threads));
-      // Grain 1: students are coarse, heterogeneous tasks — let the pool
-      // load-balance them individually.
-      pool.parallel_for(0, options.student_count, run_one, /*grain=*/1);
-    } else {
-      for (int i = 0; i < options.student_count; ++i) run_one(i);
-    }
-  }
-
+  sim::run_classroom_des(bundle, options, results);
   return classroom_engine::aggregate_classroom_results(std::move(results),
                                                        options,
                                                        run_started_us);

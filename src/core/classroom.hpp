@@ -62,18 +62,6 @@ struct ClassroomSummary {
   [[nodiscard]] std::string report() const;
 };
 
-/// Which engine executes the cohort. Both produce bit-identical
-/// ClassroomSummary fields for the same options (the differential test in
-/// tests/classroom_differential_test.cpp holds them to it).
-enum class ClassroomEngine {
-  /// Discrete-event scheduler (src/sim): every student is an event stream
-  /// on one sharded timeline. Scales to district-size cohorts.
-  kDes,
-  /// Historical thread-per-student path on the ThreadPool — kept as the
-  /// differential-testing oracle for the DES port.
-  kLegacyThreads,
-};
-
 struct ClassroomOptions {
   int student_count = 8;
   int max_steps_per_student = 400;
@@ -86,12 +74,12 @@ struct ClassroomOptions {
   /// resume from disk for the remaining half. Exercises the full
   /// suspend/recover path under emergent bot play.
   SessionStore* store = nullptr;
-  /// Worker threads running students concurrently. 0 runs everything on
-  /// the calling thread; N spins up a ThreadPool of N workers (the caller
-  /// participates too). Every value produces the same ClassroomSummary:
-  /// each student's RNG seed is a pure function of (seed, student_id), so
-  /// no thread count, scheduling order or interleaving can leak into the
-  /// results.
+  /// Worker threads executing the DES scheduler's shards within each
+  /// epoch. 0 runs everything on the calling thread; N spins up a
+  /// ThreadPool of N workers (the caller participates too). Every value
+  /// produces the same ClassroomSummary: each student's RNG seed is a pure
+  /// function of (seed, student_id), so no thread count, scheduling order
+  /// or interleaving can leak into the results.
   int worker_threads = 0;
   /// Reward rules evaluated inline in every student's session. Null keeps
   /// rewards off (empty leaderboard, exactly the pre-rewards behaviour).
@@ -102,16 +90,13 @@ struct ClassroomOptions {
   /// unlock log as the run finishes (commits are idempotent per rule, so
   /// re-running a classroom over the same store does not double-grant).
   rewards::BadgeStore* badge_store = nullptr;
-  /// Execution engine; every engine/thread/shard combination produces the
-  /// same summary bits.
-  ClassroomEngine engine = ClassroomEngine::kDes;
-  /// DES engine only: event-queue shards. 0 derives one shard per worker
-  /// thread (minimum 1). Any value is bit-identical to any other.
+  /// Event-queue shards. 0 derives one shard per worker thread (minimum
+  /// 1). Any value is bit-identical to any other.
   int des_shards = 0;
 };
 
 /// Derives the bot seed for one student purely from the classroom seed and
-/// the 1-based student id — the determinism contract behind the parallel
+/// the 1-based student id — the determinism contract behind the classroom
 /// engine (DESIGN.md §5c). Exposed so tests can pin the scheme. Inline so
 /// src/sim can derive seeds without linking the classroom engine itself:
 /// one splitmix step decorrelates adjacent classroom seeds, a golden-ratio
@@ -129,8 +114,8 @@ inline u64 classroom_student_seed(u64 classroom_seed, int student_id) {
 /// Order-sensitive FNV-1a fingerprint over every ClassroomSummary field the
 /// determinism contract covers — per-student results, encoded unlock logs
 /// and the ranked leaderboard; wall_ms is excluded by contract. The
-/// DES-vs-legacy differential test, bench_district and `vgbl district` all
-/// compare runs through this one helper. Inline so src/sim can fingerprint
+/// classroom golden test, bench_district and `vgbl district` all compare
+/// runs through this one helper. Inline so src/sim can fingerprint
 /// per-classroom summaries without linking the classroom engine.
 inline u64 classroom_fingerprint(const ClassroomSummary& summary) {
   u64 h = 14695981039346656037ULL;  // FNV-1a 64-bit offset basis
@@ -185,8 +170,9 @@ inline u64 classroom_fingerprint(const ClassroomSummary& summary) {
   return h;
 }
 
-/// Runs every student to completion (or step budget) — sequentially, or
-/// across `options.worker_threads` workers with bit-identical results.
+/// Runs every student to completion (or step budget) as an event stream on
+/// the DES scheduler (src/sim) — on the calling thread, or across
+/// `options.worker_threads` workers with bit-identical results.
 ClassroomSummary simulate_classroom(std::shared_ptr<const GameBundle> bundle,
                                     const ClassroomOptions& options);
 

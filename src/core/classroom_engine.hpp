@@ -1,10 +1,9 @@
-// Shared building blocks for the two classroom engines (DESIGN.md §5i):
-// the legacy thread-per-student path in classroom.cpp and the
-// discrete-event path in src/sim/classroom_des.cpp. Everything here is
-// inline on purpose — src/sim uses these helpers without linking the
-// classroom engine itself (vgbl_core links vgbl_sim, not the other way
-// around), and both engines sharing the exact aggregation arithmetic is
-// what makes their summaries bit-identical.
+// Building blocks of the classroom engine (DESIGN.md §5i): per-student
+// policy and result helpers used by the DES actors in
+// src/sim/classroom_des.cpp, and the post-barrier aggregation shared by
+// simulate_classroom and the district runner. Everything here is inline on
+// purpose — src/sim uses these helpers without linking the classroom
+// engine itself (vgbl_core links vgbl_sim, not the other way around).
 #pragma once
 
 #include <algorithm>
@@ -107,11 +106,12 @@ inline void commit_unlocks(rewards::BadgeStore* badge_store,
 }
 
 /// Post-barrier aggregation over the per-student result slots: metrics,
-/// cohort means and the ranked leaderboard, all in index order. Both
-/// engines fill slots however they like (thread pool, event shards) and
-/// funnel through this one function, so summary bits cannot depend on the
-/// engine. `run_started_us` is the obs::wall_now_us() stamp from before
-/// the run (throughput gauge only — observe-only by contract).
+/// cohort means and the ranked leaderboard, all in index order. Actors
+/// fill slots in whatever order the event shards run them; this one
+/// function funnels them into the summary, so summary bits cannot depend
+/// on shard or thread placement. `run_started_us` is the
+/// obs::wall_now_us() stamp from before the run (throughput gauge only —
+/// observe-only by contract).
 inline ClassroomSummary aggregate_classroom_results(
     std::vector<std::optional<StudentResult>> results,
     const ClassroomOptions& options, i64 run_started_us) {

@@ -14,6 +14,10 @@ namespace vgbl {
 
 namespace {
 
+/// Decoded frames buffered ahead of the consumer in pooled mode
+/// (synchronous mode buffers exactly the consumer's GOP).
+constexpr size_t kLookaheadFrames = 32;
+
 struct MediaMetrics {
   obs::Counter& gops_decoded;
   obs::Counter& frames_decoded;
@@ -23,7 +27,7 @@ struct MediaMetrics {
     auto& reg = obs::MetricsRegistry::global();
     static MediaMetrics m{
         reg.counter("media_gops_decoded_total",
-                    "GOPs decoded (batch and pipeline paths)"),
+                    "GOPs decoded by the playback pipeline"),
         reg.counter("media_frames_decoded_total", "frames decoded"),
         reg.histogram("media_gop_decode_ms",
                       obs::exponential_buckets(0.05, 2.0, 14),
@@ -53,64 +57,6 @@ GopPlan plan_gops(const VideoContainer& container, int first, int count) {
   return plan;
 }
 
-[[nodiscard]] Result<std::vector<Frame>> decode_gop(const VideoContainer& container,
-                                      GopRange gop) {
-  MediaMetrics& metrics = MediaMetrics::get();
-  VGBL_SPAN("media.decode_gop");
-  VGBL_TIMER(metrics.gop_decode_ms);
-  // Whole-GOP batch decode: the prediction chain stays inside the output
-  // vector, so the per-frame reference copy of the frame-at-a-time API is
-  // paid once per GOP instead.
-  std::vector<std::span<const u8>> datas;
-  datas.reserve(static_cast<size_t>(gop.count));
-  for (int i = gop.first; i < gop.first + gop.count; ++i) {
-    auto data = container.frame_data(i);
-    if (!data.ok()) return data.error();
-    datas.push_back(data.value());
-  }
-  Decoder decoder;
-  std::vector<Frame> frames;
-  if (auto st = decoder.decode_batch(datas, frames); !st.ok()) {
-    return st.error();
-  }
-  VGBL_COUNT(metrics.gops_decoded);
-  VGBL_COUNT(metrics.frames_decoded, frames.size());
-  return frames;
-}
-
-Result<std::vector<Frame>> decode_range_parallel(const VideoContainer& container,
-                                                 int first, int count,
-                                                 ThreadPool& pool) {
-  const GopPlan plan = plan_gops(container, first, count);
-  if (plan.gops.empty()) return std::vector<Frame>{};
-
-  std::vector<Result<std::vector<Frame>>> results(
-      plan.gops.size(), Result<std::vector<Frame>>(std::vector<Frame>{}));
-  std::atomic<bool> failed{false};
-
-  pool.parallel_for(0, static_cast<i64>(plan.gops.size()), [&](i64 g) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    auto r = decode_gop(container, plan.gops[static_cast<size_t>(g)]);
-    if (!r.ok()) failed.store(true, std::memory_order_relaxed);
-    results[static_cast<size_t>(g)] = std::move(r);
-  });
-
-  std::vector<Frame> out;
-  out.reserve(static_cast<size_t>(count));
-  int skip = plan.lead_in;
-  for (auto& r : results) {
-    if (!r.ok()) return r.error();
-    for (auto& f : r.value()) {
-      if (skip > 0) {
-        --skip;
-        continue;
-      }
-      if (static_cast<int>(out.size()) < count) out.push_back(std::move(f));
-    }
-  }
-  return out;
-}
-
 struct DecodePipeline::Run {
   Mutex mutex;
   std::condition_variable_any cv;
@@ -133,12 +79,10 @@ struct DecodePipeline::Run {
 };
 
 DecodePipeline::DecodePipeline(std::shared_ptr<const VideoContainer> container,
-                               Options options)
+                               unsigned decode_threads)
     : container_(std::move(container)),
-      options_(options),
-      pool_(options.decode_threads > 0
-                ? std::make_unique<ThreadPool>(options.decode_threads)
-                : nullptr) {}
+      pool_(decode_threads > 0 ? std::make_unique<ThreadPool>(decode_threads)
+                               : nullptr) {}
 
 DecodePipeline::~DecodePipeline() { stop(); }
 
@@ -187,9 +131,9 @@ std::optional<Frame> DecodePipeline::next_frame() {
     // bookkeeping before the worker's final done-mark runs, leaving a
     // stale entry that would block submission forever.)
     const size_t window =
-        options_.decode_threads +
+        pool_->thread_count() +
         std::max<size_t>(1,
-                         options_.lookahead_frames /
+                         kLookaheadFrames /
                              std::max(1, container_->codec_config().gop_size));
     while (run->next_submit < run->plan.gops.size() &&
            run->next_submit < run->current_gop + window) {
@@ -206,14 +150,13 @@ std::optional<Frame> DecodePipeline::next_frame() {
     }
   } else if (run->done.count(run->current_gop) == 0 &&
              run->failed.count(run->current_gop) == 0) {
-    // Synchronous mode: decode the consumer's GOP on demand, right here.
-    // No lookahead — memory stays bounded by one GOP per session no matter
-    // how many sessions a simulation keeps alive. There is no concurrent
-    // consumer to feed frame-by-frame, so the whole GOP goes through the
-    // batch decode path and is published under one lock acquisition.
+    // Synchronous mode: decode the consumer's GOP on demand, right here,
+    // through the same GOP decoder the pool workers run. No lookahead —
+    // memory stays bounded by one GOP per session no matter how many
+    // sessions a simulation keeps alive.
     const size_t g = run->current_gop;
     lock.unlock();
-    decode_gop_batch(run, g);
+    decode_gop(run, g);
     lock.lock();
   }
 
@@ -240,7 +183,6 @@ std::optional<Frame> DecodePipeline::next_frame() {
   Frame frame = std::move(it->second[run->offset_in_gop]);
   ++run->offset_in_gop;
   --run->remaining;
-  ++stats_.frames_emitted;
 
   if (run->offset_in_gop >=
       static_cast<size_t>(run->plan.gops[cur].count)) {
@@ -249,7 +191,6 @@ std::optional<Frame> DecodePipeline::next_frame() {
     run->failed.erase(cur);
     ++run->current_gop;
     run->offset_in_gop = 0;
-    ++stats_.gops_decoded;
   }
   return frame;
 }
@@ -282,40 +223,5 @@ void DecodePipeline::decode_gop(const std::shared_ptr<Run>& run, size_t g) {
   run->done.insert(g);
   run->cv.notify_all();
 }
-
-void DecodePipeline::decode_gop_batch(const std::shared_ptr<Run>& run,
-                                      size_t g) {
-  MediaMetrics& metrics = MediaMetrics::get();
-  VGBL_SPAN("media.decode_gop");
-  VGBL_TIMER(metrics.gop_decode_ms);
-  const GopRange gop = run->plan.gops[g];
-  Status st;
-  std::vector<Frame> frames;
-  if (!run->cancelled.load(std::memory_order_relaxed)) {
-    std::vector<std::span<const u8>> datas;
-    datas.reserve(static_cast<size_t>(gop.count));
-    for (int i = gop.first; i < gop.first + gop.count; ++i) {
-      auto data = container_->frame_data(i);
-      if (!data.ok()) {
-        st = data.error();
-        break;
-      }
-      datas.push_back(data.value());
-    }
-    if (st.ok()) {
-      Decoder decoder;
-      st = decoder.decode_batch(datas, frames);
-    }
-  }
-  VGBL_COUNT(metrics.gops_decoded);
-  VGBL_COUNT(metrics.frames_decoded, frames.size());
-  MutexLock inner(run->mutex);
-  if (!st.ok()) run->failed.insert(g);
-  if (!frames.empty()) run->partial[g] = std::move(frames);
-  run->done.insert(g);
-  run->cv.notify_all();
-}
-
-DecodePipeline::Stats DecodePipeline::stats() const { return stats_; }
 
 }  // namespace vgbl

@@ -5,10 +5,9 @@
 namespace vgbl {
 
 SegmentPlayer::SegmentPlayer(std::shared_ptr<const VideoContainer> container,
-                             Options options)
+                             unsigned decode_threads)
     : container_(std::move(container)),
-      options_(options),
-      pipeline_(container_, options.pipeline) {}
+      pipeline_(container_, decode_threads) {}
 
 Status SegmentPlayer::play_segment(SegmentId segment, MicroTime now) {
   const ContainerSegment* seg = container_->segment_by_id(segment);
@@ -67,14 +66,13 @@ std::optional<Frame> SegmentPlayer::current_frame(MicroTime now) {
     return last_frame_;  // same frame period: no new decode
   }
 
-  // Pull from the pipeline up to the target index, dropping late frames
-  // when configured (the pipeline still decodes them — a GOP decode cannot
-  // skip — but they are not presented).
+  // Pull from the pipeline up to the target index, dropping late frames to
+  // stay on the clock (the pipeline still decodes them — a GOP decode
+  // cannot skip — but they are not presented).
   while (emitted_ <= target) {
     auto f = pipeline_.next_frame();
     if (!f) break;  // end of segment or decode error: hold last frame
-    const bool present = !options_.drop_late_frames || emitted_ == target;
-    if (present) {
+    if (emitted_ == target) {
       last_frame_ = std::move(f);
     } else {
       ++stats_.frames_dropped;

@@ -15,17 +15,11 @@ namespace vgbl {
 /// Playback state machine over one container.
 class SegmentPlayer {
  public:
-  struct Options {
-    DecodePipeline::Options pipeline;
-    /// When true the player skips late frames to stay on the clock;
-    /// when false it presents every frame (slideshow under load).
-    bool drop_late_frames = true;
-  };
-
-  explicit SegmentPlayer(std::shared_ptr<const VideoContainer> container)
-      : SegmentPlayer(std::move(container), Options{}) {}
-  SegmentPlayer(std::shared_ptr<const VideoContainer> container,
-                Options options);
+  /// `decode_threads` sizes the decode pool behind the player; 0 decodes
+  /// synchronously on the caller's thread (see DecodePipeline). The default
+  /// matches SessionOptions::decode_threads.
+  explicit SegmentPlayer(std::shared_ptr<const VideoContainer> container,
+                         unsigned decode_threads = 1);
 
   /// Starts playing `segment` from its first frame at time `now`.
   /// Unknown segment ids fail with kNotFound.
@@ -73,7 +67,6 @@ class SegmentPlayer {
 
  private:
   std::shared_ptr<const VideoContainer> container_;
-  Options options_;
   DecodePipeline pipeline_;
 
   bool active_ = false;

@@ -29,9 +29,7 @@ GameSession::GameSession(std::shared_ptr<const GameBundle> bundle,
       clock_(clock),
       options_(options),
       rule_book_(bundle_->rules, options.guard_engine),
-      player_(bundle_->video,
-              SegmentPlayer::Options{
-                  {options.decode_threads, 32}, true}),
+      player_(bundle_->video, options.decode_threads),
       ui_(UiLayout::standard(
           {bundle_->video->width(), bundle_->video->height()})),
       inventory_(&bundle_->items, options.inventory_capacity),

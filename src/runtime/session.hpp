@@ -41,8 +41,8 @@ struct SessionOptions {
   int inventory_capacity = 12;
   /// Decode pool size for the session's playback pipeline. 0 means no
   /// pool at all — frames decode synchronously on the caller's thread
-  /// (DecodePipeline::Options::decode_threads); simulation engines use
-  /// that so district-scale cohorts don't spawn a thread per session.
+  /// (see DecodePipeline); simulation engines use that so district-scale
+  /// cohorts don't spawn a thread per session.
   unsigned decode_threads = 1;
   bool enable_default_behaviours = true;
   /// Avatar mode (paper §4.3): interactions require walking within reach;

@@ -31,8 +31,8 @@ GameSession& StudentActor::active_session() const {
 }
 
 void StudentActor::abandon() {
-  // Session open/start failed: the slot stays nullopt (skipped student,
-  // same as the legacy engine) and all session state is released now.
+  // Session open/start failed: the slot stays nullopt (skipped student)
+  // and all session state is released now.
   driver_.reset();
   persisted_.reset();
   session_.reset();
@@ -63,8 +63,8 @@ void StudentActor::begin(Context& ctx) {
                                           bot_seed_);
     phase_ = Phase::kPlay;
   } else {
-    // Store-backed run, first half: fresh session through the store (the
-    // legacy engine's remove + open), clock at zero like the timeline.
+    // Store-backed run, first half: fresh session through the store
+    // (remove + open), clock at zero like the timeline.
     (void)options_->store->remove_session(student_name());
     auto opened = options_->store->open_session(bundle_, student_name());
     if (!opened.ok()) {
@@ -81,9 +81,9 @@ void StudentActor::begin(Context& ctx) {
 }
 
 void StudentActor::suspend_and_resume(Context& ctx) {
-  // Mirrors the legacy store path exactly: checkpoint, tear the live
-  // session down, reopen from disk, then (unless already complete) spend
-  // the remaining budget under bot_seed + 1. The restored clock continues
+  // Checkpoint, tear the live session down, reopen from disk, then
+  // (unless already complete) spend the remaining budget under
+  // bot_seed + 1. The restored clock continues
   // at the checkpointed sim time, which *is* the current timeline time —
   // suspension consumes no sim time.
   first_half_ = driver_->result();

@@ -1,10 +1,9 @@
 // Classroom cohort on the DES core (DESIGN.md §5i): each student is a
 // StudentActor whose events are single BotDriver iterations, so thousands
 // of classrooms' worth of students share one timeline instead of one
-// thread each. Fills the same pre-allocated result slots the legacy
-// thread-per-student engine fills — both funnel into
-// classroom_engine::aggregate_classroom_results, so engine choice cannot
-// leak into summary bits.
+// thread each. Actors fill pre-allocated result slots that
+// classroom_engine::aggregate_classroom_results folds in index order, so
+// shard and thread placement cannot leak into summary bits.
 #pragma once
 
 #include <memory>
@@ -21,8 +20,8 @@ namespace vgbl::sim {
 /// one BotDriver iteration (one bot action plus its clock advance/ticks)
 /// and reschedules at the session clock's new time — the student's local
 /// clock and the shared timeline are the same axis. Store-backed students
-/// replay the legacy engine's phases exactly: half the budget, checkpoint
-/// + teardown, reopen, remaining budget under seed+1.
+/// run in two phases: half the budget, checkpoint + teardown, reopen,
+/// remaining budget under seed+1.
 ///
 /// Session state is allocated lazily at the first firing and released at
 /// the last, so a district run's footprint tracks *live* students.
@@ -30,8 +29,7 @@ class StudentActor : public Actor {
  public:
   /// `options` and `slot` must outlive the scheduler run. `slot` is this
   /// student's pre-allocated result cell; it stays nullopt when a session
-  /// cannot be opened/started (the student is skipped, as in the legacy
-  /// engine).
+  /// cannot be opened/started (the student is skipped).
   StudentActor(std::shared_ptr<const GameBundle> bundle,
                const ClassroomOptions& options, int index,
                std::optional<StudentResult>* slot);

@@ -204,6 +204,23 @@ TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
   EXPECT_EQ(count.load(), 100);
 }
 
+// Regression: the helper that finished the last chunk used to signal a
+// mutex and condition variable on the caller's stack after decrementing the
+// shared counter, so a caller that saw the counter reach zero could return
+// and free them mid-notify. Many tiny parallel_for calls on a small pool
+// make that window likely; the completion state must outlive the caller.
+TEST(ThreadPoolTest, ManyTinyParallelForsSurviveCallerReturn) {
+  ThreadPool pool(2);
+  std::atomic<i64> sum{0};
+  constexpr int kCalls = 200'000;
+  for (int call = 0; call < kCalls; ++call) {
+    pool.parallel_for(
+        0, 3, [&](i64 i) { sum.fetch_add(i, std::memory_order_relaxed); },
+        /*grain=*/1);
+  }
+  EXPECT_EQ(sum.load(), 3LL * kCalls);
+}
+
 TEST(ThreadPoolTest, NestedSubmissionFromTask) {
   ThreadPool pool(2);
   auto outer = pool.submit([&pool] {

@@ -1,6 +1,6 @@
-// Media pipeline tests: GOP planning, parallel decode correctness vs the
-// sequential oracle, streaming pipeline ordering, and the segment player's
-// clock behaviour.
+// Media pipeline tests: GOP planning, the decode pipeline (poolless and
+// pooled) against the sequential oracle, and the segment player's clock
+// behaviour.
 #include <gtest/gtest.h>
 
 #include "media/pipeline.hpp"
@@ -75,56 +75,31 @@ TEST(GopPlanTest, EmptyAndOutOfRange) {
   EXPECT_EQ(covered - plan.lead_in, 2);
 }
 
-// --- Parallel decode ----------------------------------------------------------------
-
-class ParallelDecodeTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ParallelDecodeTest, MatchesSequentialOracle) {
-  auto c = make_container(3, 12, CodecMode::kDct, 6);
-  const auto oracle = decode_all_sequential(*c);
-  ThreadPool pool(GetParam());
-  auto decoded = decode_range_parallel(*c, 0, c->frame_count(), pool);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().size(), oracle.size());
-  for (size_t i = 0; i < oracle.size(); ++i) {
-    EXPECT_EQ(decoded.value()[i], oracle[i]) << "frame " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelDecodeTest,
-                         ::testing::Values(1u, 2u, 4u));
-
-TEST(ParallelDecodeTest, SubRangeWithLeadIn) {
-  auto c = make_container(1, 24, CodecMode::kRle, 8);
-  const auto oracle = decode_all_sequential(*c);
-  ThreadPool pool(2);
-  auto decoded = decode_range_parallel(*c, 10, 9, pool);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().size(), 9u);
-  for (size_t i = 0; i < 9; ++i) {
-    EXPECT_EQ(decoded.value()[i], oracle[10 + i]);
-  }
-}
-
 // --- DecodePipeline ----------------------------------------------------------------
 
-TEST(DecodePipelineTest, EmitsAllFramesInOrder) {
-  auto c = make_container(2, 12, CodecMode::kRle, 4);
-  const auto oracle = decode_all_sequential(*c);
-  DecodePipeline pipeline(c, {2, 16});
-  pipeline.start(0, c->frame_count());
-  for (int i = 0; i < c->frame_count(); ++i) {
-    auto f = pipeline.next_frame();
-    ASSERT_TRUE(f.has_value()) << i;
-    EXPECT_EQ(*f, oracle[static_cast<size_t>(i)]) << "frame " << i;
+// Every case runs poolless (0 workers: GOPs decode inline on the consumer's
+// thread) and pooled (1 and 2 workers), against the sequential oracle.
+class DecodePipelineTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DecodePipelineTest, EmitsAllFramesInOrder) {
+  for (CodecMode mode : {CodecMode::kRle, CodecMode::kDct}) {
+    auto c = make_container(2, 12, mode, 4);
+    const auto oracle = decode_all_sequential(*c);
+    DecodePipeline pipeline(c, GetParam());
+    pipeline.start(0, c->frame_count());
+    for (int i = 0; i < c->frame_count(); ++i) {
+      auto f = pipeline.next_frame();
+      ASSERT_TRUE(f.has_value()) << i;
+      EXPECT_EQ(*f, oracle[static_cast<size_t>(i)]) << "frame " << i;
+    }
+    EXPECT_EQ(pipeline.next_frame(), std::nullopt);
   }
-  EXPECT_EQ(pipeline.next_frame(), std::nullopt);
 }
 
-TEST(DecodePipelineTest, MidStreamStartSkipsLeadIn) {
+TEST_P(DecodePipelineTest, MidStreamStartSkipsLeadIn) {
   auto c = make_container(1, 24, CodecMode::kRle, 8);
   const auto oracle = decode_all_sequential(*c);
-  DecodePipeline pipeline(c, {1, 8});
+  DecodePipeline pipeline(c, GetParam());
   pipeline.start(11, 5);
   for (int i = 0; i < 5; ++i) {
     auto f = pipeline.next_frame();
@@ -134,27 +109,34 @@ TEST(DecodePipelineTest, MidStreamStartSkipsLeadIn) {
   EXPECT_EQ(pipeline.next_frame(), std::nullopt);
 }
 
-TEST(DecodePipelineTest, StopMidStreamIsClean) {
+TEST_P(DecodePipelineTest, StopMidStreamIsClean) {
   auto c = make_container(3, 12);
-  DecodePipeline pipeline(c, {2, 8});
+  const auto oracle = decode_all_sequential(*c);
+  DecodePipeline pipeline(c, GetParam());
   pipeline.start(0, c->frame_count());
-  (void)pipeline.next_frame();
-  (void)pipeline.next_frame();
+  EXPECT_EQ(pipeline.next_frame(), oracle[0]);
+  EXPECT_EQ(pipeline.next_frame(), oracle[1]);
   pipeline.stop();  // must not hang or crash
   EXPECT_EQ(pipeline.next_frame(), std::nullopt);
 }
 
-TEST(DecodePipelineTest, RestartResets) {
+TEST_P(DecodePipelineTest, RestartResets) {
   auto c = make_container(2, 12);
   const auto oracle = decode_all_sequential(*c);
-  DecodePipeline pipeline(c, {2, 8});
+  DecodePipeline pipeline(c, GetParam());
   pipeline.start(0, 5);
-  (void)pipeline.next_frame();
+  EXPECT_EQ(pipeline.next_frame(), oracle[0]);
   pipeline.start(12, 3);  // jump to segment 2
-  auto f = pipeline.next_frame();
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(*f, oracle[12]);
+  for (int i = 0; i < 3; ++i) {
+    auto f = pipeline.next_frame();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(*f, oracle[static_cast<size_t>(12 + i)]);
+  }
+  EXPECT_EQ(pipeline.next_frame(), std::nullopt);
 }
+
+INSTANTIATE_TEST_SUITE_P(Workers, DecodePipelineTest,
+                         ::testing::Values(0u, 1u, 2u));
 
 // --- SegmentPlayer ----------------------------------------------------------------
 
@@ -246,9 +228,7 @@ TEST(SegmentPlayerTest, SwitchSegmentsCountsSwitches) {
 
 TEST(SegmentPlayerTest, LateConsumerDropsFrames) {
   auto c = make_container(1, 24);
-  SegmentPlayer::Options options;
-  options.drop_late_frames = true;
-  SegmentPlayer player(c, options);
+  SegmentPlayer player(c);
   SimClock clock;
   ASSERT_TRUE(player.play_segment(SegmentId{1}, clock.now()).ok());
   (void)player.current_frame(clock.now());

@@ -150,6 +150,37 @@ TEST(SessionTest, VideoFrameAvailable) {
   EXPECT_EQ(frame->size(), (Size{320, 240}));
 }
 
+TEST(SessionTest, PoollessDecodePresentsReaderFrames) {
+  // decode_threads = 0 is the simulated cohorts' mode: GOPs decode inline
+  // on the caller's thread. Every presented frame must equal the frame an
+  // independent VideoReader decodes at the same index — first at every
+  // frame period, then as a late consumer skipping three periods at once.
+  SimClock clock;
+  SessionOptions options;
+  options.decode_threads = 0;
+  const auto bundle = quickstart_bundle();
+  GameSession session(bundle, &clock, options);
+  ASSERT_TRUE(session.start().ok());
+  const ContainerSegment* seg =
+      bundle->video->segment_by_id(session.current_scenario_info()->segment);
+  ASSERT_NE(seg, nullptr);
+  VideoReader reader(*bundle->video);
+  const int fps = bundle->video->fps();
+  int checked = 0;
+  for (int k = 0; k < seg->frame_count + 2;
+       k += k < seg->frame_count / 2 ? 1 : 3) {
+    clock.advance_to(static_cast<MicroTime>(k) * 1'000'000 / fps);
+    auto frame = session.current_video_frame();
+    ASSERT_TRUE(frame.has_value()) << "period " << k;
+    const int index = seg->first_frame + session.current_frame_index();
+    auto expected = reader.read_frame(index);
+    ASSERT_TRUE(expected.ok()) << "frame " << index;
+    EXPECT_EQ(*frame, expected.value()) << "frame " << index;
+    ++checked;
+  }
+  EXPECT_GT(checked, seg->frame_count / 2);
+}
+
 TEST(SessionTest, ObjectAtFindsByCanvasPoint) {
   SimClock clock;
   GameSession session(quickstart_bundle(), &clock);

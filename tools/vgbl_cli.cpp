@@ -14,7 +14,7 @@
 //   vgbl classroom <bundle.vgblb> [students] [max_steps] [--threads N]
 //                  [--seed S] [--store <dir>] [--stream] [--fault <profile>]
 //                  [--metrics-out <file.json|file.prom>]
-//                  [--rewards] [--badge-store <dir>]
+//                  [--rewards] [--badge-store <dir>] [--shards N]
 //   vgbl district <bundle.vgblb> [--classrooms N] [--students M] [--steps K]
 //                 [--seed S] [--threads T] [--shards N] [--stream]
 //                 [--clients C] [--fault <profile>] [--rewards]
@@ -348,8 +348,6 @@ int cmd_classroom(const std::string& path,
       options.seed = std::strtoull(rest[++i].c_str(), nullptr, 10);
     } else if (a == "--shards" && i + 1 < rest.size()) {
       options.des_shards = std::atoi(rest[++i].c_str());
-    } else if (a == "--legacy") {
-      options.engine = ClassroomEngine::kLegacyThreads;
     } else if (a == "--store" && i + 1 < rest.size()) {
       store_dir = rest[++i];
     } else if (a == "--rewards") {
@@ -691,8 +689,7 @@ void usage() {
                "[--threads N] [--seed S] [--store <dir>] [--stream]\n"
                "            [--fault clean|iid2|bursty|flap|degraded|stress]\n"
                "            [--metrics-out <file.json|file.prom>]\n"
-               "            [--rewards] [--badge-store <dir>]\n"
-               "            [--shards N] [--legacy]\n"
+               "            [--rewards] [--badge-store <dir>] [--shards N]\n"
                "  district <bundle.vgblb> [--classrooms N] [--students M]\n"
                "            [--steps K] [--seed S] [--threads T] [--shards N]\n"
                "            [--stream] [--clients C] [--fault <profile>]\n"
