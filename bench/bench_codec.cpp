@@ -119,6 +119,8 @@ int main(int argc, char** argv) {
       argc, argv,
       {.name = "codec",
        .default_out = "BENCH_codec.json",
-       .headline_case = "BM_Decode",
+       // The dct_q16 decode arm: bundles ship at q16, so this is the DCT
+       // reconstruction playback decodes with (the raw arm only copies).
+       .headline_case = "BM_Decode/160/120/3",
        .fields = {{"workload", "{\"clip\": \"demo\", \"modes\": 5, \"sizes\": [\"160x120\", \"320x240\", \"640x480\"]}"}}});
 }

@@ -48,11 +48,12 @@ bench_gate() {
     --out "${fresh}/BENCH_event_dispatch.json" >/dev/null
   ./build/bench/bench_hit_test --benchmark_min_time=0.05 \
     --out "${fresh}/BENCH_hit_test.json" >/dev/null
-  # Codec hot-path gate (ISSUE 9): the smallest resolution keeps the run
-  # cheap; the headline (raw-mode stream decode) is what the quant-table /
-  # batch-decode overhaul sped up, and the committed baselines already hold
-  # the post-overhaul numbers — a regression to the pre-overhaul path
-  # trips the tolerance immediately.
+  # Codec hot-path gate: the smallest resolution keeps the run cheap; the
+  # headline is the dct_q16 stream decode (BM_Decode/160/120/3), the arm
+  # that runs the entropy decode, sparse inverse DCT and block scatter that
+  # playback spends its decode time in. The raw arm it replaced never ran
+  # the DCT path. The committed baselines were captured from this
+  # reconstruction, so a regression to the dense path trips the tolerance.
   ./build/bench/bench_codec --benchmark_min_time=0.05 \
     --benchmark_filter='160/120' --out "${fresh}/BENCH_codec.json" >/dev/null
   ./build/bench/bench_pipeline --benchmark_min_time=0.05 \

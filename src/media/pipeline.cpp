@@ -2,21 +2,19 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <set>
 
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "obs/wall_clock.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace vgbl {
 
 namespace {
-
-/// Decoded frames buffered ahead of the consumer in pooled mode
-/// (synchronous mode buffers exactly the consumer's GOP).
-constexpr size_t kLookaheadFrames = 32;
 
 struct MediaMetrics {
   obs::Counter& gops_decoded;
@@ -27,11 +25,11 @@ struct MediaMetrics {
     auto& reg = obs::MetricsRegistry::global();
     static MediaMetrics m{
         reg.counter("media_gops_decoded_total",
-                    "GOPs decoded by the playback pipeline"),
+                    "GOPs the playback pipeline decoded at least one frame of"),
         reg.counter("media_frames_decoded_total", "frames decoded"),
         reg.histogram("media_gop_decode_ms",
                       obs::exponential_buckets(0.05, 2.0, 14),
-                      "wall time to decode one GOP")};
+                      "time spent decoding one GOP, lookahead waits excluded")};
     return m;
   }
 };
@@ -76,6 +74,15 @@ struct DecodePipeline::Run {
   size_t current_gop VGBL_GUARDED_BY(mutex) = 0;
   size_t offset_in_gop VGBL_GUARDED_BY(mutex) = 0;
   int remaining VGBL_GUARDED_BY(mutex) = 0;  // frames owed to the consumer
+
+  /// One past the last container frame workers may decode now:
+  /// kLookaheadFrames past the consumer's next frame, so that frame itself
+  /// is always inside the window.
+  [[nodiscard]] int window_end() const VGBL_REQUIRES(mutex) {
+    if (current_gop >= plan.gops.size()) return std::numeric_limits<int>::max();
+    return plan.gops[current_gop].first + static_cast<int>(offset_in_gop) +
+           kLookaheadFrames;
+  }
 };
 
 DecodePipeline::DecodePipeline(std::shared_ptr<const VideoContainer> container,
@@ -105,10 +112,13 @@ void DecodePipeline::start(int first, int count) {
 void DecodePipeline::stop() {
   if (!run_) return;
   auto run = run_;
-  run->cancelled.store(true);
-  // Wait for in-flight decodes so their container reference stays valid.
   {
     UniqueLock lock(run->mutex);
+    // Cancel under the lock: a worker between its cancelled check and its
+    // wait at the lookahead edge would otherwise miss this wake-up.
+    run->cancelled.store(true);
+    run->cv.notify_all();
+    // Wait for in-flight decodes so their container reference stays valid.
     while (run->in_flight != 0) {
       run->cv.wait(lock);
     }
@@ -125,18 +135,15 @@ std::optional<Frame> DecodePipeline::next_frame() {
   }
 
   if (pool_ != nullptr) {
-    // Keep the decode window full: submit GOPs up to a lookahead window
-    // *relative to the consumer cursor*. (Gating on in_flight/done counts
-    // is racy: the consumer can consume a GOP's last frame and erase its
-    // bookkeeping before the worker's final done-mark runs, leaving a
-    // stale entry that would block submission forever.)
-    const size_t window =
-        pool_->thread_count() +
-        std::max<size_t>(1,
-                         kLookaheadFrames /
-                             std::max(1, container_->codec_config().gop_size));
+    // Submit every GOP that starts inside the lookahead window or at its
+    // end, which taking this call's frame moves into the window: a frame a
+    // worker may decode always belongs to a submitted GOP. The window is
+    // anchored to the consumer cursor. (Gating on in_flight/done counts is
+    // racy: the consumer can consume a GOP's last frame and erase its
+    // bookkeeping before the worker's final done-mark runs, leaving a stale
+    // entry that would block submission forever.)
     while (run->next_submit < run->plan.gops.size() &&
-           run->next_submit < run->current_gop + window) {
+           run->plan.gops[run->next_submit].first <= run->window_end()) {
       const size_t g = run->next_submit++;
       ++run->in_flight;
       // stop() waits for in_flight to drain before the run (or the
@@ -192,21 +199,35 @@ std::optional<Frame> DecodePipeline::next_frame() {
     ++run->current_gop;
     run->offset_in_gop = 0;
   }
+  // The window moved: wake a worker parked at its edge.
+  if (pool_ != nullptr) run->cv.notify_all();
   return frame;
 }
 
 void DecodePipeline::decode_gop(const std::shared_ptr<Run>& run, size_t g) {
   MediaMetrics& metrics = MediaMetrics::get();
   VGBL_SPAN("media.decode_gop");
-  VGBL_TIMER(metrics.gop_decode_ms);
+  // Pool workers park at the lookahead edge; the synchronous mode decodes
+  // on the consumer's own thread, which must not wait for itself.
+  const bool capped = pool_ != nullptr;
+  const bool timed = obs::enabled();
+  i64 busy_us = 0;
   Decoder decoder;
   const GopRange gop = run->plan.gops[g];
   u64 decoded = 0;
   for (int i = gop.first; i < gop.first + gop.count; ++i) {
+    if (capped) {
+      UniqueLock lock(run->mutex);
+      while (!run->cancelled.load() && i >= run->window_end()) {
+        run->cv.wait(lock);
+      }
+    }
     if (run->cancelled.load(std::memory_order_relaxed)) break;
+    const i64 started_us = timed ? obs::wall_now_us() : 0;
     auto data = container_->frame_data(i);
     Result<Frame> frame = data.ok() ? decoder.decode(data.value())
                                     : Result<Frame>(data.error());
+    if (timed) busy_us += obs::wall_now_us() - started_us;
     MutexLock inner(run->mutex);
     if (!frame.ok()) {
       run->failed.insert(g);
@@ -215,10 +236,14 @@ void DecodePipeline::decode_gop(const std::shared_ptr<Run>& run, size_t g) {
     }
     run->partial[g].push_back(std::move(frame.value()));
     ++decoded;
+    VGBL_COUNT(metrics.frames_decoded);
     run->cv.notify_all();
   }
-  VGBL_COUNT(metrics.gops_decoded);
-  VGBL_COUNT(metrics.frames_decoded, decoded);
+  // A GOP cancelled before its first frame decoded nothing: not counted.
+  if (decoded > 0) {
+    VGBL_COUNT(metrics.gops_decoded);
+    VGBL_OBSERVE(metrics.gop_decode_ms, static_cast<f64>(busy_us) / 1000.0);
+  }
   MutexLock inner(run->mutex);
   run->done.insert(g);
   run->cv.notify_all();

@@ -33,10 +33,18 @@ struct GopPlan {
 [[nodiscard]] GopPlan plan_gops(const VideoContainer& container, int first,
                                 int count);
 
+/// Decoded frames a pooled pipeline keeps ready ahead of the consumer. Kept
+/// small: each holds a full frame and a scenario switch discards them; four
+/// keep one worker busy while the consumer composites (EXPERIMENTS.md E19).
+inline constexpr int kLookaheadFrames = 4;
+
 /// Streaming GOP decoder: a producer-side thread pool decodes GOPs ahead of
-/// the consumer, which pops frames in order. The decode window is bounded
-/// relative to the consumer cursor, so memory stays proportional to the
-/// lookahead.
+/// the consumer, which pops frames in order. A GOP is submitted once its
+/// first frame is within kLookaheadFrames of the consumer's next frame, and
+/// a worker parks before decoding a frame beyond that window until the
+/// consumer catches up, so at most kLookaheadFrames decoded frames wait
+/// ahead of the consumer whatever the worker count. The worker that holds
+/// the consumer's next frame never parks, so no pool size can deadlock.
 class DecodePipeline {
  public:
   /// `decode_threads` decode workers. 0 runs with no pool at all: GOPs
@@ -58,7 +66,7 @@ class DecodePipeline {
   /// `stop()`. Blocks while the decoder catches up.
   std::optional<Frame> next_frame();
 
-  /// Cancels the active run and drains workers.
+  /// Cancels the active run and drains workers, parked ones included.
   void stop();
 
  private:

@@ -46,10 +46,12 @@ Status rle_decode(std::span<const u8> in, std::span<u8> out) {
 }
 
 /// Encodes one quantised block: DC then (zero-run, level) AC pairs with an
-/// EOB sentinel (run==63 cannot precede a 64th coefficient).
-void encode_block(BitWriter& bw, const QuantBlock& q) {
+/// EOB sentinel (run==63 cannot precede a 64th coefficient). Returns
+/// whether any coefficient is nonzero.
+bool encode_block(BitWriter& bw, const QuantBlock& q) {
   const auto& zz = zigzag_order();
   bw.put_se(q[zz[0]]);
+  bool nonzero = q[zz[0]] != 0;
   int run = 0;
   for (int i = 1; i < kDctBlockArea; ++i) {
     const i32 level = q[zz[i]];
@@ -60,11 +62,15 @@ void encode_block(BitWriter& bw, const QuantBlock& q) {
     bw.put_ue(static_cast<u32>(run));
     bw.put_se(level);
     run = 0;
+    nonzero = true;
   }
   bw.put_ue(63);  // end of block
+  return nonzero;
 }
 
-Status decode_block(BitReader& br, QuantBlock& q) {
+/// Decodes one block into `q`; the value says whether any coefficient is
+/// nonzero (AC levels are never zero, so that is DC != 0 or any AC pair).
+[[nodiscard]] Result<bool> decode_block(BitReader& br, QuantBlock& q) {
   const auto& zz = zigzag_order();
   q.fill(0);
   auto dc = br.se();
@@ -74,7 +80,7 @@ Status decode_block(BitReader& br, QuantBlock& q) {
   while (pos < kDctBlockArea) {
     auto run = br.ue();
     if (!run.ok()) return run.error();
-    if (run.value() == 63) return {};  // EOB
+    if (run.value() == 63) return dc.value() != 0 || pos > 1;  // EOB
     pos += static_cast<int>(run.value());
     if (pos >= kDctBlockArea) return corrupt_data("dct: run past block end");
     auto level = br.se();
@@ -87,7 +93,7 @@ Status decode_block(BitReader& br, QuantBlock& q) {
   auto eob = br.ue();
   if (!eob.ok()) return eob.error();
   if (eob.value() != 63) return corrupt_data("dct: missing EOB");
-  return {};
+  return true;
 }
 
 /// Gathers one 8×8 block of centred (intra) or residual (inter) samples.
@@ -203,9 +209,14 @@ Bytes dct_encode(const Frame& current, const Frame* reference,
   DctBlock spatial, freq;
   QuantBlock q;
 
-  // scatter_block writes every valid pixel, so a right-sized scratch frame
-  // can be reused without clearing.
-  if (recon.size() != current.size() || recon.format() != current.format()) {
+  // An inter reconstruction starts as the prediction, which is exactly what
+  // a zero residual reconstructs to (round_clamp_u8(±0 + p) == p), so those
+  // blocks are skipped. Otherwise scatter_block writes every valid pixel, so
+  // a right-sized scratch frame can be reused without clearing.
+  if (reference != nullptr) {
+    recon = *reference;
+  } else if (recon.size() != current.size() ||
+             recon.format() != current.format()) {
     recon = Frame(w, h, current.format());
   }
 
@@ -215,7 +226,8 @@ Bytes dct_encode(const Frame& current, const Frame* reference,
         gather_block(current, reference, c, bx, by, spatial);
         forward_dct(spatial, freq);
         quantize(freq, qt, q);
-        encode_block(bits, q);
+        const bool nonzero = encode_block(bits, q);
+        if (reference != nullptr && !nonzero) continue;
 
         // Closed-loop reconstruction so the encoder reference matches the
         // decoder exactly.
@@ -228,6 +240,9 @@ Bytes dct_encode(const Frame& current, const Frame* reference,
   return std::move(bits).finish();
 }
 
+/// Decodes a DCT payload into `out`. For an inter frame `out` must already
+/// hold a copy of `reference`: zero-residual blocks are left as they are,
+/// exactly as the encoder's closed loop leaves them.
 Status dct_decode(std::span<const u8> payload, const Frame* reference,
                   const QuantTable& qt, Frame& out) {
   const i32 w = out.width();
@@ -243,7 +258,9 @@ Status dct_decode(std::span<const u8> payload, const Frame* reference,
   for (int c = 0; c < channels; ++c) {
     for (i32 by = 0; by < bh_blocks; ++by) {
       for (i32 bx = 0; bx < bw_blocks; ++bx) {
-        if (auto st = decode_block(bits, q); !st.ok()) return st;
+        auto nonzero = decode_block(bits, q);
+        if (!nonzero.ok()) return nonzero.error();
+        if (reference != nullptr && !nonzero.value()) continue;
         dequantize(q, qt, freq);
         inverse_dct(freq, spatial);
         scatter_block(out, reference, c, bx, by, spatial);
@@ -341,7 +358,9 @@ Status decode_parsed(const ParsedFrame& f, const Frame* ref, Frame& out,
     }
   }
 
-  if (out.size() != Size{f.width, f.height} || out.format() != f.format) {
+  if (inter && f.mode == CodecMode::kDct) {
+    out = *ref;  // the prediction dct_decode refines block by block
+  } else if (out.size() != Size{f.width, f.height} || out.format() != f.format) {
     out = Frame(f.width, f.height, f.format);
   }
   switch (f.mode) {

@@ -95,17 +95,25 @@ void forward_dct(const DctBlock& spatial, DctBlock& freq) {
 void inverse_dct(const DctBlock& freq, DctBlock& spatial) {
   const Basis& b = basis();
   f32 tmp[kDctBlockArea];
+  // Quantised blocks are mostly zeros, so each sum stops after its last
+  // nonzero term (see the hot-path contract in dct.hpp). `cols` is one past
+  // the last column holding a nonzero coefficient: every tmp row is zero
+  // beyond it, which bounds the row pass the same way.
+  int cols = 0;
   for (int x = 0; x < kDctBlockSize; ++x) {
     // Gather column x once; the transposed basis keeps the k accumulation
     // (same k = 0..7 order) contiguous on both operands.
     f32 col[kDctBlockSize];
+    int terms = 0;
     for (int k = 0; k < kDctBlockSize; ++k) {
       col[k] = freq[k * kDctBlockSize + x];
+      if (col[k] != 0.0f) terms = k + 1;
     }
+    if (terms > 0) cols = x + 1;
     for (int n = 0; n < kDctBlockSize; ++n) {
       const f32* ctn = b.ct[n];
       f32 acc = 0;
-      for (int k = 0; k < kDctBlockSize; ++k) acc += col[k] * ctn[k];
+      for (int k = 0; k < terms; ++k) acc += col[k] * ctn[k];
       tmp[n * kDctBlockSize + x] = acc;
     }
   }
@@ -114,7 +122,7 @@ void inverse_dct(const DctBlock& freq, DctBlock& spatial) {
     for (int n = 0; n < kDctBlockSize; ++n) {
       const f32* ctn = b.ct[n];
       f32 acc = 0;
-      for (int k = 0; k < kDctBlockSize; ++k) acc += row[k] * ctn[k];
+      for (int k = 0; k < cols; ++k) acc += row[k] * ctn[k];
       spatial[y * kDctBlockSize + n] = acc;
     }
   }

@@ -6,7 +6,12 @@
 // Hot-path contract (ISSUE 9): every routine here is pinned bit-exact by
 // tests/codec_golden_test.cpp. Optimisations must preserve the floating-
 // point operation order of each output value — reorganising memory layout
-// is fine, reassociating accumulations is not.
+// is fine, reassociating accumulations is not. One exception: a term that
+// is exactly ±0 may be dropped from a sum (`inverse_dct` stops each sum
+// after its last nonzero coefficient). Adding ±0 leaves a nonzero sum
+// unchanged and can flip only the sign of a zero one, and every consumer
+// rounds the result (`round_clamp_u8(±0 + p)` is the same pixel), so the
+// reconstructed pixels and the bitstream stay identical.
 #pragma once
 
 #include <array>
@@ -27,7 +32,8 @@ using QuantBlock = std::array<i32, kDctBlockArea>;     // quantised coeffs
 /// Forward 8×8 type-II DCT (orthonormal).
 void forward_dct(const DctBlock& spatial, DctBlock& freq);
 
-/// Inverse 8×8 DCT.
+/// Inverse 8×8 DCT. Cost scales with the extent of the nonzero
+/// coefficients: a DC-only block takes one term per sum.
 void inverse_dct(const DctBlock& freq, DctBlock& spatial);
 
 /// Quantisation step for coefficient index `i` at `quality` (1 = finest,

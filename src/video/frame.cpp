@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace vgbl {
 
@@ -12,7 +13,8 @@ Frame::Frame(i32 width, i32 height, PixelFormat format, Color fill_color)
       data_(static_cast<size_t>(std::max(0, width)) *
             static_cast<size_t>(std::max(0, height)) *
             static_cast<size_t>(format)) {
-  if (!data_.empty()) fill(fill_color);
+  // The buffer starts zeroed, which is already black in either format.
+  if (!data_.empty() && fill_color != colors::kBlack) fill(fill_color);
 }
 
 Color Frame::pixel(i32 x, i32 y) const {
@@ -47,10 +49,14 @@ void Frame::fill(Color c) { fill_rect(bounds(), c); }
 
 void Frame::fill_rect(Rect r, Color c) {
   const Rect clip = r.intersection(bounds());
-  for (i32 y = clip.y; y < clip.bottom(); ++y) {
-    for (i32 x = clip.x; x < clip.right(); ++x) {
-      set_pixel(x, y, c);
-    }
+  if (clip.empty()) return;
+  // Paint the first row, then copy it to the others.
+  for (i32 x = clip.x; x < clip.right(); ++x) set_pixel(x, clip.y, c);
+  const size_t row_bytes =
+      static_cast<size_t>(clip.width) * static_cast<size_t>(channels());
+  const u8* first = &data_[index(clip.x, clip.y, 0)];
+  for (i32 y = clip.y + 1; y < clip.bottom(); ++y) {
+    std::memcpy(&data_[index(clip.x, y, 0)], first, row_bytes);
   }
 }
 
@@ -95,6 +101,18 @@ void Frame::fill_circle(Point center, i32 radius, Color c) {
 
 void Frame::blit(const Frame& src, Point at) {
   const Rect dst = Rect{at.x, at.y, src.width(), src.height()}.intersection(bounds());
+  if (dst.empty()) return;
+  if (src.format_ == format_ && &src != this) {
+    // Same layout: each clipped row is one contiguous copy.
+    const size_t row_bytes =
+        static_cast<size_t>(dst.width) * static_cast<size_t>(channels());
+    for (i32 y = dst.y; y < dst.bottom(); ++y) {
+      std::memcpy(&data_[index(dst.x, y, 0)],
+                  &src.data_[src.index(dst.x - at.x, y - at.y, 0)], row_bytes);
+    }
+    return;
+  }
+  // Cross-format (or self) blits convert pixel by pixel.
   for (i32 y = dst.y; y < dst.bottom(); ++y) {
     for (i32 x = dst.x; x < dst.right(); ++x) {
       set_pixel(x, y, src.pixel(x - at.x, y - at.y));

@@ -3,14 +3,15 @@
 // flag and payload bytes — for each checked-in gen-corpus seed × codec
 // mode. Any change to the emitted bitstream, however subtle (quantiser
 // rounding, entropy coding, GOP cadence, header layout), flips a
-// fingerprint and fails here. This is the license for hot-path rewrites:
-// optimisations must leave every fingerprint untouched, so "faster" can
-// never silently mean "different".
+// fingerprint and fails here. A second table pins the decoded pixels of
+// the same streams, so a reconstruction that drifts by one LSB fails too.
+// This is the license for hot-path rewrites: optimisations must leave every
+// fingerprint untouched, so "faster" can never silently mean "different".
 //
 // Regenerating after an *intentional* format change:
 //   VGBL_GOLDEN_PRINT=1 ./build/tests/codec_golden_test
-// prints the replacement kGolden table; paste it below and say why in the
-// commit message.
+// prints the replacement kGolden and kGoldenPixels tables; paste them below
+// and say why in the commit message.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -61,6 +62,27 @@ u64 stream_fingerprint(const EncodedStream& stream) {
     mix_byte(f.keyframe ? 1 : 0);
     mix_u64(f.data.size());
     for (u8 b : f.data) mix_byte(b);
+  }
+  return h;
+}
+
+/// Order-sensitive FNV-1a over decoded frames: frame count, then per frame
+/// its width, height, pixel format and every pixel byte.
+u64 pixels_fingerprint(const std::vector<Frame>& frames) {
+  u64 h = 14695981039346656037ULL;
+  auto mix_byte = [&h](u8 b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  };
+  auto mix_u64 = [&mix_byte](u64 v) {
+    for (int i = 0; i < 8; ++i) mix_byte(static_cast<u8>(v >> (i * 8)));
+  };
+  mix_u64(frames.size());
+  for (const Frame& f : frames) {
+    mix_u64(static_cast<u64>(f.width()));
+    mix_u64(static_cast<u64>(f.height()));
+    mix_byte(static_cast<u8>(f.format()));
+    for (u8 b : f.data()) mix_byte(b);
   }
   return h;
 }
@@ -154,6 +176,54 @@ constexpr GoldenRow kGolden[] = {
     // clang-format on
 };
 
+// Golden fingerprints of the decoded pixels of the same streams, captured
+// from the dense inverse DCT before the sparse reconstruction landed. One
+// row per gen-corpus seed × mode arm.
+constexpr GoldenRow kGoldenPixels[] = {
+    // clang-format off
+    {7ULL, "raw", 14141188859797489296ULL},
+    {7ULL, "rle", 14141188859797489296ULL},
+    {7ULL, "dct_q4", 7840018598416578210ULL},
+    {7ULL, "dct_q16", 14455791820840887914ULL},
+    {7ULL, "dct_q32", 17547270908731460383ULL},
+    {99ULL, "raw", 9526268647072224722ULL},
+    {99ULL, "rle", 9526268647072224722ULL},
+    {99ULL, "dct_q4", 10368243833912186470ULL},
+    {99ULL, "dct_q16", 7157599289963951335ULL},
+    {99ULL, "dct_q32", 5114164364249254060ULL},
+    {1234ULL, "raw", 15088947578956699182ULL},
+    {1234ULL, "rle", 15088947578956699182ULL},
+    {1234ULL, "dct_q4", 11497281937605084635ULL},
+    {1234ULL, "dct_q16", 16075886864114388331ULL},
+    {1234ULL, "dct_q32", 4876199904614640984ULL},
+    {31337ULL, "raw", 16928822882088297457ULL},
+    {31337ULL, "rle", 16928822882088297457ULL},
+    {31337ULL, "dct_q4", 1981826063158527842ULL},
+    {31337ULL, "dct_q16", 14286809663061680843ULL},
+    {31337ULL, "dct_q32", 11980536080687471558ULL},
+    {424242ULL, "raw", 4785754205056908041ULL},
+    {424242ULL, "rle", 4785754205056908041ULL},
+    {424242ULL, "dct_q4", 17419490582038894264ULL},
+    {424242ULL, "dct_q16", 18136713613092403098ULL},
+    {424242ULL, "dct_q32", 11940778146883363763ULL},
+    {987654321ULL, "raw", 8237392177348538541ULL},
+    {987654321ULL, "rle", 8237392177348538541ULL},
+    {987654321ULL, "dct_q4", 15861688001067615096ULL},
+    {987654321ULL, "dct_q16", 8309397432770206173ULL},
+    {987654321ULL, "dct_q32", 11331903967089634271ULL},
+    {2718281828ULL, "raw", 17522723725433452487ULL},
+    {2718281828ULL, "rle", 17522723725433452487ULL},
+    {2718281828ULL, "dct_q4", 1754164738608850703ULL},
+    {2718281828ULL, "dct_q16", 7496160558865784662ULL},
+    {2718281828ULL, "dct_q32", 17204460859418638986ULL},
+    {18446744073709551557ULL, "raw", 645592259941753342ULL},
+    {18446744073709551557ULL, "rle", 645592259941753342ULL},
+    {18446744073709551557ULL, "dct_q4", 17996273734466820230ULL},
+    {18446744073709551557ULL, "dct_q16", 13184569248364387533ULL},
+    {18446744073709551557ULL, "dct_q32", 5554136149428101010ULL},
+    // clang-format on
+};
+
 TEST(CodecGoldenTest, BitstreamFingerprintsAreStable) {
   const bool print = std::getenv("VGBL_GOLDEN_PRINT") != nullptr;
   std::map<std::pair<u64, std::string>, u64> expected;
@@ -184,6 +254,52 @@ TEST(CodecGoldenTest, BitstreamFingerprintsAreStable) {
       EXPECT_EQ(got, it->second)
           << "bitstream changed for seed " << seed << " mode " << arm.name
           << " — the encoder no longer emits byte-identical output";
+    }
+  }
+}
+
+/// Both decode entry points — `decode_stream` (batch) and per-frame
+/// `Decoder::decode` (the playback pipeline's path) — must reproduce the
+/// pinned pixels of every corpus stream.
+TEST(CodecGoldenTest, DecodedPixelFingerprintsAreStable) {
+  const bool print = std::getenv("VGBL_GOLDEN_PRINT") != nullptr;
+  std::map<std::pair<u64, std::string>, u64> expected;
+  for (const GoldenRow& row : kGoldenPixels) {
+    expected[{row.seed, row.mode}] = row.fingerprint;
+  }
+  if (print) std::printf("    // kGoldenPixels\n");
+
+  for (const u64 seed : corpus_seeds()) {
+    const std::vector<Frame> frames = corpus_clip(seed);
+    ASSERT_FALSE(frames.empty());
+    for (const ModeArm& arm : kModes) {
+      const EncodedStream stream = encode_arm(frames, arm);
+      auto batch = decode_stream(stream);
+      ASSERT_TRUE(batch.ok()) << seed << " " << arm.name;
+      std::vector<Frame> per_frame;
+      Decoder decoder;
+      for (const EncodedFrame& f : stream.frames) {
+        auto frame = decoder.decode(f.data);
+        ASSERT_TRUE(frame.ok()) << seed << " " << arm.name;
+        per_frame.push_back(std::move(frame.value()));
+      }
+      const u64 got = pixels_fingerprint(batch.value());
+      EXPECT_EQ(pixels_fingerprint(per_frame), got)
+          << "per-frame and batch decode disagree for seed " << seed
+          << " mode " << arm.name;
+      if (print) {
+        std::printf("    {%lluULL, \"%s\", %lluULL},\n",
+                    static_cast<unsigned long long>(seed), arm.name,
+                    static_cast<unsigned long long>(got));
+        continue;
+      }
+      const auto it = expected.find({seed, arm.name});
+      ASSERT_NE(it, expected.end())
+          << "no pixel fingerprint for seed " << seed << " mode " << arm.name
+          << " — new corpus seed? regenerate with VGBL_GOLDEN_PRINT=1";
+      EXPECT_EQ(got, it->second)
+          << "decoded pixels changed for seed " << seed << " mode "
+          << arm.name << " — reconstruction is no longer bit-exact";
     }
   }
 }

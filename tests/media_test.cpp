@@ -3,8 +3,13 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <thread>
+
 #include "media/pipeline.hpp"
 #include "media/player.hpp"
+#include "obs/metrics.hpp"
 #include "util/sim_clock.hpp"
 #include "video/synthetic.hpp"
 
@@ -137,6 +142,95 @@ TEST_P(DecodePipelineTest, RestartResets) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, DecodePipelineTest,
                          ::testing::Values(0u, 1u, 2u));
+
+// --- Lookahead cap (pooled pipelines) ----------------------------------------------
+
+u64 counter_value(const char* name) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+  const obs::CounterSample* c = snap.find_counter(name);
+  return c != nullptr ? c->value : 0;
+}
+
+u64 frames_decoded() { return counter_value("media_frames_decoded_total"); }
+
+/// Polls `done` for up to 10 s.
+bool eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 10'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+class LookaheadCapTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(LookaheadCapTest, IdleConsumerLeavesAtMostTheLookaheadDecoded) {
+  obs::ScopedEnable obs_on(true);
+  auto c = make_container(3, 12, CodecMode::kDct, 4);
+  const auto oracle = decode_all_sequential(*c);
+  DecodePipeline pipeline(c, GetParam());
+  const u64 before = frames_decoded();
+  pipeline.start(0, c->frame_count());
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(pipeline.next_frame(), oracle[i]);
+  // The workers fill the window, then park while the consumer is away.
+  const u64 cap = 3 + kLookaheadFrames;
+  EXPECT_TRUE(eventually([&] { return frames_decoded() - before >= cap; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(frames_decoded() - before, cap);
+  // Pulling again moves the window through the rest of the range.
+  for (int i = 3; i < c->frame_count(); ++i) {
+    ASSERT_EQ(pipeline.next_frame(), oracle[static_cast<size_t>(i)]) << i;
+  }
+  EXPECT_EQ(pipeline.next_frame(), std::nullopt);
+}
+
+TEST_P(LookaheadCapTest, StopReturnsWhileAWorkerIsParked) {
+  obs::ScopedEnable obs_on(true);
+  auto c = make_container(3, 12, CodecMode::kDct, 4);
+  const auto oracle = decode_all_sequential(*c);
+  DecodePipeline pipeline(c, GetParam());
+  const u64 before = frames_decoded();
+  pipeline.start(0, c->frame_count());
+  EXPECT_EQ(pipeline.next_frame(), oracle[0]);
+  ASSERT_TRUE(eventually(
+      [&] { return frames_decoded() - before >= 1 + kLookaheadFrames; }));
+  pipeline.stop();  // must wake the parked worker, not wait for it forever
+  EXPECT_EQ(pipeline.next_frame(), std::nullopt);
+  // The pool serves the next run.
+  pipeline.start(12, 12);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_EQ(pipeline.next_frame(), oracle[static_cast<size_t>(12 + i)]) << i;
+  }
+}
+
+// Restarting after one frame cancels the GOPs queued behind it. A GOP that
+// cancellation stopped before its first frame decoded nothing, so it must
+// not count as decoded nor add a decode-time sample.
+TEST_P(LookaheadCapTest, RestartsCountOnlyGopsThatDecodedFrames) {
+  obs::ScopedEnable obs_on(true);
+  auto histogram_count = [] {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+    const obs::HistogramSample* h = snap.find_histogram("media_gop_decode_ms");
+    return h != nullptr ? h->count : 0;
+  };
+  auto c = make_container(3, 12, CodecMode::kDct, 4);
+  DecodePipeline pipeline(c, GetParam());
+  const u64 gops_before = counter_value("media_gops_decoded_total");
+  const u64 frames_before = frames_decoded();
+  const u64 samples_before = histogram_count();
+  for (int i = 0; i < 50; ++i) {
+    pipeline.start(0, c->frame_count());
+    ASSERT_TRUE(pipeline.next_frame().has_value()) << i;
+  }
+  pipeline.stop();
+  const u64 gops = counter_value("media_gops_decoded_total") - gops_before;
+  const u64 frames = frames_decoded() - frames_before;
+  EXPECT_GE(gops, 50u);  // every start decoded its first GOP
+  EXPECT_LE(gops, frames);
+  EXPECT_EQ(histogram_count() - samples_before, gops);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, LookaheadCapTest, ::testing::Values(1u, 2u));
 
 // --- SegmentPlayer ----------------------------------------------------------------
 

@@ -81,6 +81,80 @@ TEST(FrameTest, BlitCopiesAndClips) {
   EXPECT_EQ(dst.pixel(5, 5), colors::kBlack);
 }
 
+// fill_rect and same-format blit copy whole rows; these cases check them,
+// the gray fill and the cross-format blits, against the per-pixel loops.
+
+Frame noise_frame(i32 w, i32 h, PixelFormat format, u64 seed) {
+  Frame f(w, h, format);
+  Rng rng(seed);
+  for (u8& b : f.data()) b = static_cast<u8>(rng.below(256));
+  return f;
+}
+
+Frame reference_fill(Frame f, Rect r, Color c) {
+  for (i32 y = 0; y < f.height(); ++y) {
+    for (i32 x = 0; x < f.width(); ++x) {
+      if (r.contains({x, y})) f.set_pixel(x, y, c);
+    }
+  }
+  return f;
+}
+
+Frame reference_blit(Frame dst, const Frame& src, Point at) {
+  for (i32 y = 0; y < dst.height(); ++y) {
+    for (i32 x = 0; x < dst.width(); ++x) {
+      const i32 sx = x - at.x;
+      const i32 sy = y - at.y;
+      if (sx >= 0 && sy >= 0 && sx < src.width() && sy < src.height()) {
+        dst.set_pixel(x, y, src.pixel(sx, sy));
+      }
+    }
+  }
+  return dst;
+}
+
+TEST(FrameTest, FillRectMatchesPerPixelInBothFormats) {
+  const Color c{200, 90, 30};
+  const Rect rects[] = {{3, 2, 5, 4},    {-4, -3, 9, 7}, {10, 6, 40, 40},
+                        {0, 0, 13, 11},  {-5, 4, 30, 1}, {6, -9, 1, 30},
+                        {20, 20, 3, 3},  {4, 4, 0, 5}};
+  for (PixelFormat format : {PixelFormat::kGray8, PixelFormat::kRgb24}) {
+    for (const Rect& r : rects) {
+      const Frame base = noise_frame(13, 11, format, 5);
+      Frame got = base;
+      got.fill_rect(r, c);
+      EXPECT_EQ(got, reference_fill(base, r, c))
+          << "format " << static_cast<int>(format) << " rect " << r.x << ","
+          << r.y << " " << r.width << "x" << r.height;
+    }
+    // The constructor's fill and the gray fill agree with set_pixel too.
+    EXPECT_EQ(Frame(7, 5, format, c),
+              reference_fill(Frame(7, 5, format), {0, 0, 7, 5}, c));
+  }
+  EXPECT_EQ(Frame::gray(6, 4, 77),
+            reference_fill(Frame(6, 4, PixelFormat::kGray8), {0, 0, 6, 4},
+                           {77, 77, 77}));
+}
+
+TEST(FrameTest, BlitMatchesPerPixelAcrossFormatsAndOrigins) {
+  const Point origins[] = {{0, 0},  {3, 2},   {-4, -3}, {9, 7},  {-2, 8},
+                           {11, -5}, {-20, 0}, {0, 30},  {12, 10}};
+  const PixelFormat formats[] = {PixelFormat::kGray8, PixelFormat::kRgb24};
+  for (PixelFormat src_format : formats) {
+    for (PixelFormat dst_format : formats) {
+      const Frame src = noise_frame(6, 5, src_format, 11);
+      for (const Point& at : origins) {
+        const Frame base = noise_frame(13, 11, dst_format, 12);
+        Frame got = base;
+        got.blit(src, at);
+        EXPECT_EQ(got, reference_blit(base, src, at))
+            << "src " << static_cast<int>(src_format) << " dst "
+            << static_cast<int>(dst_format) << " at " << at.x << "," << at.y;
+      }
+    }
+  }
+}
+
 TEST(FrameTest, BlendPixelAlpha) {
   Frame f = Frame::rgb(2, 2, colors::kBlack);
   f.blend_pixel(0, 0, colors::kWhite, 255);
