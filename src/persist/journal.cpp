@@ -1,14 +1,10 @@
 #include "persist/journal.hpp"
 
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/crc32.hpp"
 
 namespace vgbl {
 namespace {
@@ -31,10 +27,6 @@ struct JournalMetrics {
     return m;
   }
 };
-
-Error file_error(const std::string& what, const std::string& path) {
-  return io_error(what + " '" + path + "': " + std::strerror(errno));
-}
 
 void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   w.put_u8(static_cast<u8>(s.op));
@@ -80,100 +72,26 @@ void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   return s;
 }
 
-Bytes journal_header() {
-  ByteWriter w;
-  w.put_u32(kJournalMagic);
-  w.put_u16(kJournalVersion);
-  w.put_u16(0);  // reserved
-  w.put_u32(crc32(w.bytes()));
-  return std::move(w).take();
-}
-
 }  // namespace
 
 // --- JournalWriter ----------------------------------------------------------
 
 Result<JournalWriter> JournalWriter::create(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return file_error("cannot create journal", path);
-  const Bytes header = journal_header();
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
-      std::fflush(f) != 0) {
-    std::fclose(f);
-    return file_error("cannot write journal header", path);
-  }
-  std::fclose(f);
-  // Keep the live handle in append mode: every record then lands at the
-  // file's current end even if another handle compacts (truncates) the
-  // journal in between — two live sessions for the same student can
-  // interleave records, but a stale buffered offset can never punch a
-  // hole in the log.
-  f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return file_error("cannot open journal", path);
-  return JournalWriter(f, path, header.size());
-}
-
-Result<JournalWriter> JournalWriter::open(const std::string& path) {
-  auto existing = read_journal_file(path);
-  if (!existing.ok()) {
-    if (existing.error().code == ErrorCode::kNotFound) return create(path);
-    return existing.error();
-  }
-  // Trim a torn tail before appending so the new record starts at a clean
-  // boundary (otherwise it would be glued onto half of an old one).
-  if (existing.value().torn_tail) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, existing.value().valid_bytes, ec);
-    if (ec) {
-      return io_error("cannot trim torn journal tail '" + path +
-                      "': " + ec.message());
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return file_error("cannot open journal", path);
-  return JournalWriter(f, path, existing.value().valid_bytes);
-}
-
-JournalWriter::JournalWriter(JournalWriter&& other) noexcept
-    : file_(std::exchange(other.file_, nullptr)),
-      path_(std::move(other.path_)),
-      bytes_written_(other.bytes_written_) {}
-
-JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = std::exchange(other.file_, nullptr);
-    path_ = std::move(other.path_);
-    bytes_written_ = other.bytes_written_;
-  }
-  return *this;
-}
-
-JournalWriter::~JournalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+  auto log = framed::LogWriter::create(path, kJournalMagic, kJournalVersion);
+  if (!log.ok()) return log.error();
+  return JournalWriter(std::move(log).value());
 }
 
 Status JournalWriter::append_record(JournalRecord::Kind kind,
                                     const Bytes& payload) {
-  if (file_ == nullptr) {
-    return failed_precondition("journal writer was moved-from or closed");
-  }
   JournalMetrics& metrics = JournalMetrics::get();
   VGBL_SPAN("persist.journal_append");
   VGBL_TIMER(metrics.append_ms);
-  ByteWriter frame;
-  frame.put_u8(static_cast<u8>(kind));
-  frame.put_u32(static_cast<u32>(payload.size()));
-  frame.put_raw(payload.data(), payload.size());
-  frame.put_u32(crc32(payload));
-  const Bytes bytes = std::move(frame).take();
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
-      std::fflush(file_) != 0) {
-    return file_error("cannot append to journal", path_);
-  }
-  bytes_written_ += bytes.size();
+  auto framed_bytes = log_.append(static_cast<u8>(kind), payload);
+  if (!framed_bytes.ok()) return framed_bytes.error();
+  bytes_written_ += framed_bytes.value();
   VGBL_COUNT(metrics.appends);
-  VGBL_COUNT(metrics.bytes, bytes.size());
+  VGBL_COUNT(metrics.bytes, framed_bytes.value());
   return {};
 }
 
@@ -193,80 +111,40 @@ Status JournalWriter::append_barrier(u64 snapshot_sequence, u64 step_count) {
 // --- reading ----------------------------------------------------------------
 
 Result<JournalContents> parse_journal(std::span<const u8> data) {
-  ByteReader r(data);
-  auto magic = r.u32_();
-  if (!magic.ok() || magic.value() != kJournalMagic) {
-    return corrupt_data("not a VGSJ journal (bad magic)");
-  }
-  auto version = r.u16_();
-  auto reserved = r.u16_();
-  auto header_crc = r.u32_();
-  if (!version.ok() || !reserved.ok() || !header_crc.ok()) {
-    return corrupt_data("truncated journal header");
-  }
-  if (header_crc.value() != crc32(data.subspan(0, 8))) {
-    return corrupt_data("journal header crc mismatch");
-  }
-  if (version.value() != kJournalVersion) {
-    return unsupported("journal format version " +
-                       std::to_string(version.value()) + " (reader supports " +
-                       std::to_string(kJournalVersion) + ")");
-  }
-
+  auto log = framed::parse_log(data, kJournalMagic, kJournalVersion,
+                               "VGSJ journal");
+  if (!log.ok()) return log.error();
   JournalContents out;
-  out.valid_bytes = r.position();
-  ByteReader rec(data);
-  (void)rec.skip(out.valid_bytes);
-  while (!rec.at_end()) {
-    const size_t record_start = rec.position();
-    auto kind = rec.u8_();
-    auto size = rec.u32_();
-    if (!kind.ok() || !size.ok()) {
-      out.torn_tail = true;  // header of the record itself was cut short
-      break;
-    }
-    auto payload = rec.view(size.value());
-    auto stored_crc = rec.u32_();
-    if (!payload.ok() || !stored_crc.ok()) {
-      out.torn_tail = true;  // payload or trailer cut short: crash tail
-      break;
-    }
-    if (stored_crc.value() != crc32(payload.value())) {
-      // The record is fully present but damaged — that is corruption, not
-      // a torn append, so reject the journal.
-      return corrupt_data("journal record at byte " +
-                          std::to_string(record_start) + " crc mismatch");
-    }
+  out.valid_bytes = log.value().valid_bytes;
+  out.torn_tail = log.value().torn_tail;
+  for (const framed::Record& rec : log.value().records) {
     JournalRecord record;
-    if (kind.value() == static_cast<u8>(JournalRecord::Kind::kStep)) {
-      auto step = read_step_payload(payload.value());
+    if (rec.kind == static_cast<u8>(JournalRecord::Kind::kStep)) {
+      auto step = read_step_payload(rec.payload);
       if (!step.ok()) {
         return corrupt_data("journal step record at byte " +
-                            std::to_string(record_start) +
-                            ": " + step.error().message);
+                            std::to_string(rec.offset) + ": " +
+                            step.error().message);
       }
       record.kind = JournalRecord::Kind::kStep;
       record.step = std::move(step).value();
-    } else if (kind.value() ==
-               static_cast<u8>(JournalRecord::Kind::kBarrier)) {
-      ByteReader pr(payload.value());
+    } else if (rec.kind == static_cast<u8>(JournalRecord::Kind::kBarrier)) {
+      ByteReader pr(rec.payload);
       auto sequence = pr.varint();
       auto steps = pr.varint();
       if (!sequence.ok() || !steps.ok()) {
         return corrupt_data("journal barrier record at byte " +
-                            std::to_string(record_start) + " is malformed");
+                            std::to_string(rec.offset) + " is malformed");
       }
       record.kind = JournalRecord::Kind::kBarrier;
       record.barrier_sequence = sequence.value();
       record.barrier_step_count = steps.value();
     } else {
       return corrupt_data("journal record at byte " +
-                          std::to_string(record_start) +
-                          " has unknown kind " +
-                          std::to_string(kind.value()));
+                          std::to_string(rec.offset) + " has unknown kind " +
+                          std::to_string(rec.kind));
     }
     out.records.push_back(std::move(record));
-    out.valid_bytes = rec.position();
   }
   return out;
 }

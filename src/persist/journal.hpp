@@ -1,26 +1,28 @@
-// Write-ahead input journal: an append-only, CRC-framed log of the
-// ScriptSteps applied to a session since its last snapshot, plus barrier
-// records marking snapshot checkpoints. Recovery = load the latest valid
-// snapshot, then replay the journal records that follow the barrier whose
-// sequence matches it (see session_store.hpp for the full protocol).
+// Write-ahead input journal: an append-only log of the ScriptSteps applied
+// to a session since its last snapshot, plus barrier records marking
+// snapshot checkpoints. Recovery = load the latest valid snapshot, then
+// replay the journal records that follow the barrier whose sequence
+// matches it (see session_store.hpp for the full protocol).
 //
-//   file header  magic u32 | version u16 | reserved u16 | crc32(header)
-//   record       kind u8 | payload_size u32 | payload | crc32(payload)
+// The file is a util/framed record log (magic "VGSJ"), which owns the
+// header, the CRC framing and the torn-tail-versus-corruption split: a
+// record or header cut short by the end of the file is a crash tail and is
+// dropped; a fully present record that fails its CRC rejects the whole
+// journal with kCorruptData. This file owns the record kinds and their
+// payloads:
 //
-// Failure semantics distinguish a *torn tail* from *corruption*: a record
-// cut short by the end of the file is the expected shape of a crash during
-// append, so readers drop it and report the journal recoverable. A record
-// that is fully present but fails its CRC means the file was damaged after
-// the fact, and the whole journal is rejected with kCorruptData.
+//   kStep     op u8 | object str | item str | second item str |
+//             choice varint | wait i64 | x i32 | y i32
+//   kBarrier  snapshot sequence varint | step count varint
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "runtime/script.hpp"
 #include "util/bytes.hpp"
 #include "util/fileio.hpp"
+#include "util/framed.hpp"
 #include "util/result.hpp"
 
 namespace vgbl {
@@ -48,42 +50,32 @@ class JournalWriter {
  public:
   /// Creates (or truncates) `path` and writes a fresh file header.
   [[nodiscard]] static Result<JournalWriter> create(const std::string& path);
-  /// Opens an existing journal for appending. The readable prefix is
-  /// validated first; a torn tail is trimmed, corruption is rejected.
-  [[nodiscard]] static Result<JournalWriter> open(const std::string& path);
-
-  JournalWriter(JournalWriter&& other) noexcept;
-  JournalWriter& operator=(JournalWriter&& other) noexcept;
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-  ~JournalWriter();
 
   Status append_step(const ScriptStep& step);
   Status append_barrier(u64 snapshot_sequence, u64 step_count);
 
-  [[nodiscard]] const std::string& path() const { return path_; }
+  /// File bytes so far: the header plus every framed record appended.
   [[nodiscard]] u64 bytes_written() const { return bytes_written_; }
 
  private:
-  JournalWriter(std::FILE* file, std::string path, u64 size)
-      : file_(file), path_(std::move(path)), bytes_written_(size) {}
+  explicit JournalWriter(framed::LogWriter log) : log_(std::move(log)) {}
   Status append_record(JournalRecord::Kind kind, const Bytes& payload);
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
-  u64 bytes_written_ = 0;
+  framed::LogWriter log_;
+  u64 bytes_written_ = framed::kHeaderSize;
 };
 
 struct JournalContents {
   std::vector<JournalRecord> records;
-  /// Byte length of the prefix that parsed cleanly (file-header included).
+  /// Byte length of the prefix that parsed cleanly (file header included;
+  /// 0 when the header itself is torn).
   size_t valid_bytes = 0;
-  /// True when a torn record at the end of the file was dropped.
+  /// True when a torn record or header at the end of the file was dropped.
   bool torn_tail = false;
 };
 
 /// Parses journal bytes. Torn tails are trimmed (crash recovery); bad
-/// magic, version or CRC anywhere else returns a typed error.
+/// magic, version, CRC or payload anywhere else returns a typed error.
 [[nodiscard]] Result<JournalContents> parse_journal(std::span<const u8> data);
 
 /// Reads and parses a journal file. kNotFound when the file is absent.

@@ -102,12 +102,10 @@ Status PersistedSession::apply_locked(const ScriptStep& step) {
   clock_.advance(ScriptRunner::Options{}.step_pause);
   session_->tick();
 
-  const bool steps_due = policy_.every_steps > 0 &&
-                         steps_since_checkpoint_ >= policy_.every_steps;
-  const bool time_due =
-      policy_.every_sim_time > 0 &&
-      clock_.now() - last_checkpoint_time_ >= policy_.every_sim_time;
-  if (steps_due || time_due) return checkpoint_locked();
+  if (policy_.every_steps > 0 &&
+      steps_since_checkpoint_ >= policy_.every_steps) {
+    return checkpoint_locked();
+  }
   return {};
 }
 
@@ -144,7 +142,6 @@ Status PersistedSession::checkpoint_locked() {
     return st;
   }
   steps_since_checkpoint_ = 0;
-  last_checkpoint_time_ = clock_.now();
   return {};
 }
 

@@ -7,13 +7,18 @@
 //
 // Protocol. Every input is journaled *before* it is applied (WAL), so a
 // crash at any point loses at most the in-flight step. A checkpoint
-// captures the session state, writes the snapshot atomically, then
-// compacts the journal down to a single barrier record carrying the new
-// snapshot's sequence number. Recovery loads the snapshot and replays only
-// the journal steps that follow a barrier matching its sequence — if the
+// (every N applied steps per CheckpointPolicy, or on request) captures
+// the session state, writes the snapshot atomically, then compacts the
+// journal down to a single barrier record carrying the new snapshot's
+// sequence number. Recovery loads the snapshot and replays only the
+// journal steps that follow a barrier matching its sequence — if the
 // crash hit between the snapshot rename and the compaction, no matching
 // barrier exists and the journaled steps (already folded into the
-// snapshot) are correctly ignored.
+// snapshot) are correctly ignored; a journal cut inside its header (a
+// crash between the compaction's truncate and its header write) holds
+// no barrier either. A resumed open then folds what it replayed into a
+// fresh snapshot and rewrites the journal. Both files use the
+// util/framed header; see journal.hpp for the record log.
 //
 // Sessions are deterministic under SimClock, so a resumed session driven
 // with the remaining inputs produces the same SessionEvent log as an
@@ -43,13 +48,11 @@
 
 namespace vgbl {
 
-/// When to take an automatic checkpoint during `PersistedSession::apply`.
-/// Both triggers may be active at once; 0 disables a trigger. With both
-/// disabled only explicit `checkpoint()` calls persist progress (the
-/// journal still protects every step).
+/// When to take an automatic checkpoint during `PersistedSession::apply`:
+/// every N applied steps. With 0 only explicit `checkpoint()` calls
+/// persist progress (the journal still protects every step).
 struct CheckpointPolicy {
   u64 every_steps = 25;
-  MicroTime every_sim_time = 0;
 };
 
 struct SessionStoreOptions {
@@ -131,7 +134,6 @@ class PersistedSession {
   u64 sequence_ = 0;
   u64 checkpoints_taken_ = 0;
   u64 steps_since_checkpoint_ = 0;
-  MicroTime last_checkpoint_time_ = 0;
 };
 
 class SessionStore {

@@ -2,6 +2,7 @@
 
 #include "util/bitstream.hpp"
 #include "util/crc32.hpp"
+#include "util/framed.hpp"
 
 namespace vgbl {
 namespace {
@@ -486,37 +487,17 @@ void emit_section(ByteWriter& out, u32 tag, Fn&& fill) {
   out.put_u32(crc32(body));
 }
 
+using Sections = std::vector<std::pair<u32, std::span<const u8>>>;
+
 /// Parses and CRC-verifies the framing, returning payload views by tag.
 /// Shared by decode_snapshot and inspect_snapshot.
-struct ParsedSections {
-  u16 version = 0;
-  std::vector<std::pair<u32, std::span<const u8>>> sections;
-};
-
-[[nodiscard]] Result<ParsedSections> parse_sections(std::span<const u8> data) {
+[[nodiscard]] Result<Sections> parse_sections(std::span<const u8> data) {
+  auto section_count = framed::check_header(data, kSnapshotMagic,
+                                            kSnapshotVersion, "VGSS snapshot");
+  if (!section_count.ok()) return section_count.error();
   ByteReader r(data);
-  auto magic = r.u32_();
-  if (!magic.ok() || magic.value() != kSnapshotMagic) {
-    return corrupt_data("not a VGSS snapshot (bad magic)");
-  }
-  auto version = r.u16_();
-  if (!version.ok()) return corrupt_data("truncated snapshot header");
-  auto section_count = r.u16_();
-  auto header_crc = r.u32_();
-  if (!section_count.ok() || !header_crc.ok()) {
-    return corrupt_data("truncated snapshot header");
-  }
-  if (header_crc.value() != crc32(data.subspan(0, 8))) {
-    return corrupt_data("snapshot header crc mismatch");
-  }
-  if (version.value() != kSnapshotVersion) {
-    return unsupported("snapshot format version " +
-                       std::to_string(version.value()) +
-                       " (reader supports " +
-                       std::to_string(kSnapshotVersion) + ")");
-  }
-  ParsedSections out;
-  out.version = version.value();
+  (void)r.skip(framed::kHeaderSize);
+  Sections out;
   for (u16 i = 0; i < section_count.value(); ++i) {
     auto tag = r.u32_();
     auto size = r.u32_();
@@ -529,7 +510,7 @@ struct ParsedSections {
       return corrupt_data("section '" + tag_name(tag.value()) +
                           "' crc mismatch");
     }
-    out.sections.emplace_back(tag.value(), payload.value());
+    out.emplace_back(tag.value(), payload.value());
   }
   return out;
 }
@@ -537,14 +518,8 @@ struct ParsedSections {
 }  // namespace
 
 Bytes encode_snapshot(const SessionState& state, const SnapshotMeta& meta) {
-  ByteWriter header;
-  header.put_u32(kSnapshotMagic);
-  header.put_u16(kSnapshotVersion);
-  header.put_u16(6);  // section count
   ByteWriter out;
-  const Bytes head = std::move(header).take();
-  out.put_raw(head.data(), head.size());
-  out.put_u32(crc32(head));
+  framed::put_header(out, kSnapshotMagic, kSnapshotVersion, 6);  // sections
 
   emit_section(out, kSectionMeta,
                [&](ByteWriter& w) { write_meta(w, meta); });
@@ -568,7 +543,7 @@ Result<DecodedSnapshot> decode_snapshot(std::span<const u8> data) {
   DecodedSnapshot out;
   bool have_meta = false;
   bool have_core = false;
-  for (const auto& [tag, payload] : parsed.value().sections) {
+  for (const auto& [tag, payload] : parsed.value()) {
     ByteReader r(payload);
     Status st;
     if (tag == kSectionMeta) {
@@ -601,10 +576,10 @@ Result<SnapshotInfo> inspect_snapshot(std::span<const u8> data) {
   auto parsed = parse_sections(data);
   if (!parsed.ok()) return parsed.error();
   SnapshotInfo info;
-  info.version = parsed.value().version;
+  info.version = kSnapshotVersion;
   info.total_bytes = data.size();
   bool have_meta = false;
-  for (const auto& [tag, payload] : parsed.value().sections) {
+  for (const auto& [tag, payload] : parsed.value()) {
     info.sections.push_back({tag, tag_name(tag), payload.size()});
     if (tag == kSectionMeta) {
       ByteReader r(payload);

@@ -5,6 +5,9 @@
 //   header   magic u32 | version u16 | section_count u16 | crc32(header)
 //   section  tag u32 | payload_size u32 | payload | crc32(payload)   (xN)
 //
+// The header is the util/framed header with `aux` = section count; the
+// tagged sections are this format's own.
+//
 // Corrupt or truncated files are rejected with a typed kCorruptData
 // Result — never undefined behaviour. Unknown section tags and trailing
 // bytes inside known sections are skipped, so newer writers stay readable

@@ -1,8 +1,6 @@
 #include "rewards/badge_store.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <utility>
@@ -42,20 +40,7 @@ struct StoreMetrics {
   }
 };
 
-Error file_error(const std::string& what, const std::string& path) {
-  return io_error(what + " '" + path + "': " + std::strerror(errno));
-}
-
 enum class RecordKind : u8 { kGrant = 1, kBarrier = 2 };
-
-Bytes file_header(u32 magic) {
-  ByteWriter w;
-  w.put_u32(magic);
-  w.put_u16(kBadgeFormatVersion);
-  w.put_u16(0);  // reserved
-  w.put_u32(crc32(w.bytes()));
-  return std::move(w).take();
-}
 
 void write_grant_payload(ByteWriter& w, const std::string& student_id,
                          const BadgeGrant& grant) {
@@ -69,18 +54,6 @@ void write_grant_payload(ByteWriter& w, const std::string& student_id,
 struct JournalGrant {
   std::string student_id;
   BadgeGrant grant;
-};
-
-struct JournalRecord {
-  RecordKind kind = RecordKind::kGrant;
-  JournalGrant grant;       ///< when kind == kGrant
-  u64 barrier_sequence = 0; ///< when kind == kBarrier
-};
-
-struct JournalContents {
-  std::vector<JournalRecord> records;
-  size_t valid_bytes = 0;
-  bool torn_tail = false;
 };
 
 [[nodiscard]] Result<JournalGrant> read_grant_payload(std::span<const u8> payload) {
@@ -102,120 +75,37 @@ struct JournalContents {
   return out;
 }
 
-/// Parses badge-journal bytes with the persist-layer failure semantics:
-/// torn tails are trimmed, anything else that fails a check is corruption.
-[[nodiscard]] Result<JournalContents> parse_badge_journal(std::span<const u8> data) {
-  ByteReader r(data);
-  auto magic = r.u32_();
-  if (!magic.ok() || magic.value() != kBadgeJournalMagic) {
-    return corrupt_data("not a VGBJ badge journal (bad magic)");
-  }
-  auto version = r.u16_();
-  auto reserved = r.u16_();
-  auto header_crc = r.u32_();
-  if (!version.ok() || !reserved.ok() || !header_crc.ok()) {
-    return corrupt_data("truncated badge journal header");
-  }
-  if (header_crc.value() != crc32(data.subspan(0, 8))) {
-    return corrupt_data("badge journal header crc mismatch");
-  }
-  if (version.value() != kBadgeFormatVersion) {
-    return unsupported("badge journal version " +
-                       std::to_string(version.value()) +
-                       " (reader supports " +
-                       std::to_string(kBadgeFormatVersion) + ")");
-  }
-  JournalContents out;
-  out.valid_bytes = r.position();
-  while (!r.at_end()) {
-    const size_t record_start = r.position();
-    auto kind = r.u8_();
-    auto size = r.u32_();
-    if (!kind.ok() || !size.ok()) {
-      out.torn_tail = true;
-      break;
-    }
-    auto payload = r.view(size.value());
-    auto stored_crc = r.u32_();
-    if (!payload.ok() || !stored_crc.ok()) {
-      out.torn_tail = true;
-      break;
-    }
-    if (stored_crc.value() != crc32(payload.value())) {
-      return corrupt_data("badge journal record at byte " +
-                          std::to_string(record_start) + " crc mismatch");
-    }
-    JournalRecord record;
-    if (kind.value() == static_cast<u8>(RecordKind::kGrant)) {
-      auto grant = read_grant_payload(payload.value());
+/// Decodes every record of a parsed badge journal and returns the grants
+/// to replay on top of snapshot `sequence`: those after the last barrier
+/// that matches it, or every grant when none does (the journal predates
+/// the snapshot's compaction, or the store has no snapshot yet).
+[[nodiscard]] Result<std::vector<JournalGrant>> grants_to_replay(
+    const framed::Log& journal, u64 sequence) {
+  std::vector<JournalGrant> grants;
+  for (const framed::Record& rec : journal.records) {
+    if (rec.kind == static_cast<u8>(RecordKind::kGrant)) {
+      auto grant = read_grant_payload(rec.payload);
       if (!grant.ok()) {
         return corrupt_data("badge journal grant at byte " +
-                            std::to_string(record_start) + ": " +
+                            std::to_string(rec.offset) + ": " +
                             grant.error().message);
       }
-      record.kind = RecordKind::kGrant;
-      record.grant = std::move(grant).value();
-    } else if (kind.value() == static_cast<u8>(RecordKind::kBarrier)) {
-      ByteReader pr(payload.value());
-      auto sequence = pr.varint();
-      if (!sequence.ok()) {
+      grants.push_back(std::move(grant).value());
+    } else if (rec.kind == static_cast<u8>(RecordKind::kBarrier)) {
+      ByteReader pr(rec.payload);
+      auto barrier = pr.varint();
+      if (!barrier.ok()) {
         return corrupt_data("badge journal barrier at byte " +
-                            std::to_string(record_start) + " is malformed");
+                            std::to_string(rec.offset) + " is malformed");
       }
-      record.kind = RecordKind::kBarrier;
-      record.barrier_sequence = sequence.value();
+      if (barrier.value() == sequence) grants.clear();  // folded in
     } else {
       return corrupt_data("badge journal record at byte " +
-                          std::to_string(record_start) +
-                          " has unknown kind " +
-                          std::to_string(kind.value()));
+                          std::to_string(rec.offset) + " has unknown kind " +
+                          std::to_string(rec.kind));
     }
-    out.records.push_back(std::move(record));
-    out.valid_bytes = r.position();
   }
-  return out;
-}
-
-/// One framed record appended to `file` and flushed (WAL discipline).
-Status append_record(std::FILE* file, const std::string& path,
-                     RecordKind kind, const Bytes& payload) {
-  ByteWriter frame;
-  frame.put_u8(static_cast<u8>(kind));
-  frame.put_u32(static_cast<u32>(payload.size()));
-  frame.put_raw(payload.data(), payload.size());
-  frame.put_u32(crc32(payload));
-  const Bytes bytes = std::move(frame).take();
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size() ||
-      std::fflush(file) != 0) {
-    return file_error("cannot append to badge journal", path);
-  }
-  return {};
-}
-
-/// Creates (truncating) a fresh journal: header plus one barrier marking
-/// everything up to snapshot `sequence` as folded in.
-[[nodiscard]] Result<std::FILE*> create_journal(const std::string& path, u64 sequence) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return file_error("cannot create badge journal", path);
-  const Bytes header = file_header(kBadgeJournalMagic);
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
-      std::fflush(f) != 0) {
-    std::fclose(f);
-    return file_error("cannot write badge journal header", path);
-  }
-  ByteWriter payload;
-  payload.put_varint(sequence);
-  if (auto st = append_record(f, path, RecordKind::kBarrier, payload.bytes());
-      !st.ok()) {
-    std::fclose(f);
-    return st.error();
-  }
-  // Reopen in append mode so a stale buffered offset can never punch a
-  // hole in the log (same rationale as JournalWriter::create).
-  std::fclose(f);
-  f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return file_error("cannot open badge journal", path);
-  return f;
+  return grants;
 }
 
 Bytes encode_store_snapshot(u64 sequence,
@@ -236,8 +126,7 @@ Bytes encode_store_snapshot(u64 sequence,
     }
   }
   ByteWriter out;
-  const Bytes header = file_header(kBadgeSnapshotMagic);
-  out.put_raw(header.data(), header.size());
+  framed::put_header(out, kBadgeSnapshotMagic, kBadgeFormatVersion, 0);
   const Bytes payload = std::move(body).take();
   out.put_raw(payload.data(), payload.size());
   out.put_u32(crc32(payload));
@@ -250,27 +139,13 @@ struct DecodedStoreSnapshot {
 };
 
 [[nodiscard]] Result<DecodedStoreSnapshot> decode_store_snapshot(std::span<const u8> data) {
-  ByteReader r(data);
-  auto magic = r.u32_();
-  if (!magic.ok() || magic.value() != kBadgeSnapshotMagic) {
-    return corrupt_data("not a VGBS badge snapshot (bad magic)");
+  if (auto header = framed::check_header(data, kBadgeSnapshotMagic,
+                                         kBadgeFormatVersion,
+                                         "VGBS badge snapshot");
+      !header.ok()) {
+    return header.error();
   }
-  auto version = r.u16_();
-  auto reserved = r.u16_();
-  auto header_crc = r.u32_();
-  if (!version.ok() || !reserved.ok() || !header_crc.ok()) {
-    return corrupt_data("truncated badge snapshot header");
-  }
-  if (header_crc.value() != crc32(data.subspan(0, 8))) {
-    return corrupt_data("badge snapshot header crc mismatch");
-  }
-  if (version.value() != kBadgeFormatVersion) {
-    return unsupported("badge snapshot version " +
-                       std::to_string(version.value()) +
-                       " (reader supports " +
-                       std::to_string(kBadgeFormatVersion) + ")");
-  }
-  const size_t body_start = r.position();
+  const size_t body_start = framed::kHeaderSize;
   if (data.size() < body_start + 4) {
     return corrupt_data("truncated badge snapshot body");
   }
@@ -350,11 +225,6 @@ Result<std::unique_ptr<BadgeStore>> BadgeStore::open(
   return store;
 }
 
-BadgeStore::~BadgeStore() {
-  MutexLock lock(journal_mutex_);
-  if (journal_file_ != nullptr) std::fclose(journal_file_);
-}
-
 std::string BadgeStore::snapshot_path() const {
   return (std::filesystem::path(options_.directory) / "badges.snap").string();
 }
@@ -411,47 +281,43 @@ Status BadgeStore::load() {
   }
 
   auto journal_data = read_binary_file(journal_path());
-  if (journal_data.ok()) {
-    auto journal = parse_badge_journal(journal_data.value());
-    if (!journal.ok()) return journal.error();
-    if (journal.value().torn_tail) {
-      std::filesystem::resize_file(journal_path(),
-                                   journal.value().valid_bytes, ec);
-      if (ec) {
-        return io_error("cannot trim torn badge journal tail '" +
-                        journal_path() + "': " + ec.message());
-      }
-    }
-    // Replay the grants after the last barrier matching the snapshot; with
-    // no matching barrier the journal predates the snapshot compaction and
-    // every grant is either folded in already or (for a fresh store)
-    // simply everything — per-rule dedup in apply_grant makes both safe.
-    std::ptrdiff_t barrier = -1;
-    const auto& records = journal.value().records;
-    for (size_t i = 0; i < records.size(); ++i) {
-      if (records[i].kind == RecordKind::kBarrier &&
-          records[i].barrier_sequence == sequence_) {
-        barrier = static_cast<std::ptrdiff_t>(i);
-      }
-    }
-    for (size_t i = barrier >= 0 ? static_cast<size_t>(barrier) + 1 : 0;
-         i < records.size(); ++i) {
-      if (records[i].kind == RecordKind::kGrant) {
-        (void)apply_grant(records[i].grant.student_id,
-                          records[i].grant.grant);
-      }
-    }
-    journal_file_ = std::fopen(journal_path().c_str(), "ab");
-    if (journal_file_ == nullptr) {
-      return file_error("cannot open badge journal", journal_path());
-    }
-  } else if (journal_data.error().code == ErrorCode::kNotFound) {
-    auto created = create_journal(journal_path(), sequence_);
-    if (!created.ok()) return created.error();
-    journal_file_ = created.value();
-  } else {
+  if (!journal_data.ok() &&
+      journal_data.error().code != ErrorCode::kNotFound) {
     return journal_data.error();
   }
+  const Bytes data =
+      journal_data.ok() ? std::move(journal_data).value() : Bytes{};
+  auto journal = framed::parse_log(data, kBadgeJournalMagic,
+                                   kBadgeFormatVersion, "VGBJ badge journal");
+  if (!journal.ok()) return journal.error();
+  auto grants = grants_to_replay(journal.value(), sequence_);
+  if (!grants.ok()) return grants.error();
+  // Per-rule dedup in apply_grant makes replaying a folded-in grant safe.
+  for (const JournalGrant& g : grants.value()) {
+    (void)apply_grant(g.student_id, g.grant);
+  }
+  // No complete header: the journal is absent, or a crash hit between its
+  // truncate and its header write. Start a fresh one at the snapshot.
+  if (journal.value().valid_bytes == 0) return create_journal();
+  auto writer = framed::LogWriter::reopen(journal_path(), journal.value());
+  if (!writer.ok()) return writer.error();
+  journal_.emplace(std::move(writer).value());
+  return {};
+}
+
+Status BadgeStore::create_journal() {
+  journal_.reset();
+  auto writer = framed::LogWriter::create(journal_path(), kBadgeJournalMagic,
+                                          kBadgeFormatVersion);
+  if (!writer.ok()) return writer.error();
+  ByteWriter payload;
+  payload.put_varint(sequence_);
+  if (auto barrier = writer.value().append(
+          static_cast<u8>(RecordKind::kBarrier), payload.bytes());
+      !barrier.ok()) {
+    return barrier.error();
+  }
+  journal_.emplace(std::move(writer).value());
   return {};
 }
 
@@ -462,7 +328,7 @@ Result<u32> BadgeStore::commit(const std::string& student_id,
   VGBL_TIMER(metrics.commit_ms);
 
   MutexLock journal_lock(journal_mutex_);
-  if (journal_file_ == nullptr) {
+  if (!journal_.has_value()) {
     return failed_precondition("badge store journal is not open");
   }
   u32 fresh = 0;
@@ -482,10 +348,10 @@ Result<u32> BadgeStore::commit(const std::string& student_id,
       // WAL: the grant reaches the journal before the in-memory record.
       ByteWriter payload;
       write_grant_payload(payload, student_id, grant);
-      if (auto st = append_record(journal_file_, journal_path(),
-                                  RecordKind::kGrant, payload.bytes());
-          !st.ok()) {
-        return st.error();
+      if (auto appended = journal_->append(
+              static_cast<u8>(RecordKind::kGrant), payload.bytes());
+          !appended.ok()) {
+        return appended.error();
       }
       record.total_points += grant.points;
       record.grants.push_back(grant);
@@ -493,15 +359,9 @@ Result<u32> BadgeStore::commit(const std::string& student_id,
     }
     record.commits += 1;
   }
-  commits_since_checkpoint_ += 1;
   VGBL_COUNT(metrics.commits);
   VGBL_COUNT(metrics.grants, fresh);
   VGBL_COUNT(metrics.duplicates, duplicates);
-
-  if (options_.checkpoint_every_commits > 0 &&
-      commits_since_checkpoint_ >= options_.checkpoint_every_commits) {
-    if (auto st = checkpoint_locked(); !st.ok()) return st.error();
-  }
   return fresh;
 }
 
@@ -563,12 +423,7 @@ Status BadgeStore::checkpoint_locked() {
   }
   sequence_ = next_sequence;
   // Compact: a fresh journal whose barrier marks everything as folded in.
-  if (journal_file_ != nullptr) std::fclose(journal_file_);
-  journal_file_ = nullptr;
-  auto created = create_journal(journal_path(), sequence_);
-  if (!created.ok()) return created.error();
-  journal_file_ = created.value();
-  commits_since_checkpoint_ = 0;
+  if (auto st = create_journal(); !st.ok()) return st;
   VGBL_COUNT(StoreMetrics::get().checkpoints);
   return {};
 }

@@ -7,16 +7,22 @@
 //   badges.snap     latest snapshot of every student record (atomic write)
 //   badges.journal  write-ahead log of grants since that snapshot
 //
+// Both files carry the util/framed header (magics "VGBS" and "VGBJ"). The
+// snapshot body is one CRC-checked blob; the journal is a framed record
+// log of grant and barrier records.
+//
 // Protocol (mirrors the SessionStore WAL discipline). Every grant is
 // journaled *before* it is applied in memory, so a crash loses at most
 // the in-flight commit. A checkpoint writes the snapshot atomically, then
 // compacts the journal to a single barrier carrying the snapshot's
-// sequence. Recovery loads the snapshot and replays the grants after a
-// matching barrier; grants are idempotent per (student, rule), so a crash
-// between rename and compaction — where no matching barrier exists and
-// every journaled grant is already folded in — replays as a no-op.
-// A torn journal tail is trimmed (crash shape); a CRC failure anywhere
-// else is kCorruptData.
+// sequence. Recovery loads the snapshot and replays the grants after the
+// last matching barrier, or every grant when none matches; grants are
+// idempotent per (student, rule), so a crash between rename and
+// compaction — where every journaled grant is already folded in —
+// replays as a no-op. A torn journal tail is trimmed (crash shape); a
+// journal with no complete header (a crash between its truncate and its
+// header write) is recreated with a barrier at the snapshot's sequence;
+// a CRC failure anywhere else is kCorruptData.
 //
 // Concurrency. Safe to share across the classroom worker pool: in-memory
 // student records live in lock-sharded maps (VGBL_GUARDED_BY, keyed by
@@ -30,14 +36,15 @@
 #pragma once
 
 #include <array>
-#include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "rewards/evaluator.hpp"
+#include "util/framed.hpp"
 #include "util/result.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/types.hpp"
@@ -68,9 +75,6 @@ struct StudentBadges {
 
 struct BadgeStoreOptions {
   std::string directory;
-  /// Automatic checkpoint every N commits (0: explicit checkpoint() only;
-  /// the journal still protects every grant either way).
-  u64 checkpoint_every_commits = 0;
 };
 
 class BadgeStore {
@@ -83,7 +87,6 @@ class BadgeStore {
 
   BadgeStore(const BadgeStore&) = delete;
   BadgeStore& operator=(const BadgeStore&) = delete;
-  ~BadgeStore();
 
   /// Commits a session's unlock stream for `student_id`. Unlocks whose
   /// rule already has a grant for this student are skipped (badges are
@@ -101,7 +104,8 @@ class BadgeStore {
 
   [[nodiscard]] size_t student_count() const;
 
-  /// Snapshots every record and compacts the journal.
+  /// Snapshots every record and compacts the journal. The journal alone
+  /// protects every grant, so checkpoints only bound recovery time.
   [[nodiscard]] Status checkpoint() VGBL_EXCLUDES(journal_mutex_);
 
   /// Sequence of the latest snapshot on disk (0: none yet).
@@ -133,6 +137,8 @@ class BadgeStore {
   /// store is shared, but takes the locks anyway to keep TSA exact.
   Status load() VGBL_EXCLUDES(journal_mutex_);
   Status checkpoint_locked() VGBL_REQUIRES(journal_mutex_);
+  /// Truncates the journal to a header plus a barrier at `sequence_`.
+  Status create_journal() VGBL_REQUIRES(journal_mutex_);
   /// Applies one grant to the in-memory record; returns false when the
   /// rule was already granted (duplicate).
   bool apply_grant(const std::string& student_id, const BadgeGrant& grant);
@@ -141,9 +147,8 @@ class BadgeStore {
   mutable std::array<Shard, kShards> shards_;
 
   mutable Mutex journal_mutex_;
-  std::FILE* journal_file_ VGBL_GUARDED_BY(journal_mutex_) = nullptr;
+  std::optional<framed::LogWriter> journal_ VGBL_GUARDED_BY(journal_mutex_);
   u64 sequence_ VGBL_GUARDED_BY(journal_mutex_) = 0;
-  u64 commits_since_checkpoint_ VGBL_GUARDED_BY(journal_mutex_) = 0;
 };
 
 }  // namespace vgbl::rewards

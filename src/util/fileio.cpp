@@ -6,13 +6,10 @@
 #include <filesystem>
 
 namespace vgbl {
-namespace {
 
 Error file_error(const std::string& what, const std::string& path) {
   return io_error(what + " '" + path + "': " + std::strerror(errno));
 }
-
-}  // namespace
 
 Result<Bytes> read_binary_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");

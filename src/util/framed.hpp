@@ -1,0 +1,97 @@
+// Framed durable files: the one header and record-log layout shared by
+// every store in src/persist and src/rewards.
+//
+//   header  magic u32 | version u16 | aux u16 | crc32(first 8 bytes)
+//   record  kind u8 | len u32 | payload | crc32(payload)
+//
+// `aux` is format-specific (the session snapshot's section count; 0 for
+// record logs). Payload codecs and record kinds stay with their formats;
+// this layer owns the bytes around them and the failure semantics:
+//
+//  - a bad magic, short header or header CRC mismatch is kCorruptData; a
+//    well-formed header with another version is kUnsupported;
+//  - a log record cut short by the end of the input is a *torn tail*, the
+//    expected shape of a crash during append: it is dropped and the log
+//    stays readable. A record that is fully present but fails its CRC is
+//    corruption, and the whole log is rejected with kCorruptData;
+//  - a log shorter than its header whose bytes are a prefix of the
+//    expected header is an empty torn log (valid_bytes 0): a crash hit
+//    between the truncate and the header write of a fresh log.
+#pragma once
+
+#include <cstdio>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "util/bytes.hpp"
+#include "util/result.hpp"
+
+namespace vgbl::framed {
+
+inline constexpr size_t kHeaderSize = 12;
+
+/// Appends a header to `out`.
+void put_header(ByteWriter& out, u32 magic, u16 version, u16 aux);
+
+/// Validates the header at the front of `data` and returns its aux field.
+/// `what` names the format in error messages ("VGSJ journal").
+[[nodiscard]] Result<u16> check_header(std::span<const u8> data, u32 magic,
+                                       u16 version, const char* what);
+
+/// One CRC-verified record; `payload` views the parsed input.
+struct Record {
+  u8 kind = 0;
+  std::span<const u8> payload;
+  size_t offset = 0;  ///< byte offset of the record in the log
+};
+
+struct Log {
+  std::vector<Record> records;
+  /// Byte length of the prefix that parsed cleanly, header included; 0
+  /// when the header itself is torn.
+  size_t valid_bytes = 0;
+  /// True when a torn record or header at the end of the input was dropped.
+  bool torn_tail = false;
+};
+
+/// Parses a record log (header with aux 0, then records).
+[[nodiscard]] Result<Log> parse_log(std::span<const u8> data, u32 magic,
+                                    u16 version, const char* what);
+
+/// Appends records to a log file with one write and one flush per record,
+/// so log-before-apply ordering survives a crash of the process. The live
+/// handle is in append mode: every record lands at the file's current end
+/// even if another handle truncates the log in between, so a stale
+/// buffered offset can never punch a hole in it. Not synchronised; callers
+/// serialise appends.
+class LogWriter {
+ public:
+  /// Creates (or truncates) `path` and writes a fresh header.
+  [[nodiscard]] static Result<LogWriter> create(const std::string& path,
+                                                u32 magic, u16 version);
+  /// Opens the log `log` was parsed from for appending, trimming its torn
+  /// tail first so the next record starts at a clean boundary. `log` must
+  /// hold a complete header (valid_bytes > 0); recreate the log otherwise.
+  [[nodiscard]] static Result<LogWriter> reopen(const std::string& path,
+                                                const Log& log);
+
+  /// Appends one framed record; returns its framed size in bytes.
+  [[nodiscard]] Result<size_t> append(u8 kind, std::span<const u8> payload);
+
+ private:
+  struct Closer {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+  using File = std::unique_ptr<std::FILE, Closer>;
+
+  [[nodiscard]] static Result<LogWriter> open_append(const std::string& path);
+  LogWriter(File file, std::string path)
+      : file_(std::move(file)), path_(std::move(path)) {}
+
+  File file_;
+  std::string path_;
+};
+
+}  // namespace vgbl::framed

@@ -86,9 +86,9 @@ TEST(LintConfig, RepoRulesParse) {
   for (const char* expected :
        {"determinism-wallclock", "determinism-random", "determinism-sleep",
         "no-naked-new", "gen-generator-determinism",
-        "replay-state-unordered", "obs-guarded-metric", "include-hygiene",
-        "banned-pattern", "determinism-taint", "lock-order-cycle",
-        "nodiscard-result"}) {
+        "replay-state-unordered", "durable-file-io", "obs-guarded-metric",
+        "include-hygiene", "banned-pattern", "determinism-taint",
+        "lock-order-cycle", "nodiscard-result"}) {
     EXPECT_TRUE(std::count(ids.begin(), ids.end(), expected) == 1)
         << "missing rule " << expected;
   }
@@ -198,6 +198,25 @@ TEST(LintScoping, UnorderedRuleStopsAtReplayBoundary) {
   const std::string source = fixture("unordered_bad.cpp");
   EXPECT_FALSE(fires(lint_file("src/core/x.cpp", source, repo_rules()),
                      "replay-state-unordered"));
+}
+
+TEST(LintFixtures, DurableIoBadFires) {
+  const auto findings = lint_file("src/persist/durable_io_bad.cpp",
+                                  fixture("durable_io_bad.cpp"), repo_rules());
+  expect_only(findings, "durable-file-io");
+  // #include <fstream>, fopen, fwrite, fflush, fclose, resize_file,
+  // ofstream, fstream.
+  EXPECT_EQ(findings.size(), 8u);
+}
+
+TEST(LintScoping, DurableIoIsScopedToStores) {
+  // Store files are opened only in util/framed and util/fileio, outside
+  // the rule's scope; the same content fires in either store directory.
+  const std::string source = fixture("durable_io_bad.cpp");
+  EXPECT_TRUE(fires(lint_file("src/rewards/x.cpp", source, repo_rules()),
+                    "durable-file-io"));
+  EXPECT_FALSE(fires(lint_file("src/util/framed.cpp", source, repo_rules()),
+                     "durable-file-io"));
 }
 
 TEST(LintFixtures, NakedNewBadFires) {

@@ -3,8 +3,10 @@
 // crash-recoverable session store end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "core/classroom.hpp"
 #include "core/demo_games.hpp"
@@ -13,8 +15,9 @@
 #include "persist/journal.hpp"
 #include "persist/session_store.hpp"
 #include "persist/snapshot.hpp"
+#include "rewards/badge_store.hpp"
 #include "rewards/evaluator.hpp"
-#include "util/crc32.hpp"
+#include "util/framed.hpp"
 
 namespace vgbl {
 namespace {
@@ -285,64 +288,6 @@ TEST(SnapshotTest, InspectReportsMetaAndSections) {
   EXPECT_EQ(info.value().sections[1].name, "CORE");
 }
 
-TEST(SnapshotTest, EveryTruncationIsRejectedWithTypedError) {
-  auto bundle = classroom_bundle();
-  SimClock clock;
-  GameSession session(bundle, &clock);
-  ASSERT_TRUE(session.start().ok());
-  drive(session, clock, classroom_script(), 0, 5);
-  const Bytes snap = snapshot_of(session, clock, bundle->meta.title);
-
-  for (size_t len = 0; len < snap.size(); ++len) {
-    auto decoded = decode_snapshot(std::span(snap.data(), len));
-    ASSERT_FALSE(decoded.ok()) << "prefix of " << len << " bytes accepted";
-    EXPECT_EQ(decoded.error().code, ErrorCode::kCorruptData);
-  }
-}
-
-TEST(SnapshotTest, ByteFlipsAreRejectedWithTypedErrors) {
-  auto bundle = classroom_bundle();
-  SimClock clock;
-  GameSession session(bundle, &clock);
-  ASSERT_TRUE(session.start().ok());
-  drive(session, clock, classroom_script(), 0, 5);
-  const Bytes snap = snapshot_of(session, clock, bundle->meta.title);
-
-  size_t rejected = 0;
-  for (size_t i = 0; i < snap.size(); ++i) {
-    Bytes damaged = snap;
-    damaged[i] ^= 0xFF;
-    auto decoded = decode_snapshot(damaged);  // must never crash
-    if (!decoded.ok()) {
-      ++rejected;
-      EXPECT_TRUE(decoded.error().code == ErrorCode::kCorruptData ||
-                  decoded.error().code == ErrorCode::kUnsupported)
-          << "byte " << i << ": " << decoded.error().to_string();
-    }
-  }
-  // Only flips inside the 4-byte tags of *optional* sections (ACTV, TRCK,
-  // ELOG, REWD) can survive — the section is skipped as unknown;
-  // everything else must be caught.
-  EXPECT_GE(rejected + 16, snap.size());
-  EXPECT_GT(rejected, snap.size() * 9 / 10);
-}
-
-TEST(SnapshotTest, WrongMagicAndVersionAreTyped) {
-  auto decoded = decode_snapshot(Bytes{'n', 'o', 'p', 'e', 0, 0, 0, 0});
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.error().code, ErrorCode::kCorruptData);
-
-  // A validly framed header with a future version must say "unsupported".
-  ByteWriter w;
-  w.put_u32(kSnapshotMagic);
-  w.put_u16(kSnapshotVersion + 9);
-  w.put_u16(0);
-  w.put_u32(crc32(w.bytes()));
-  auto future = decode_snapshot(w.bytes());
-  ASSERT_FALSE(future.ok());
-  EXPECT_EQ(future.error().code, ErrorCode::kUnsupported);
-}
-
 // --- journal ----------------------------------------------------------------
 
 TEST(JournalTest, RoundTripsStepsAndBarriers) {
@@ -392,33 +337,30 @@ TEST(JournalTest, TornTailIsTrimmedNotFatal) {
   ASSERT_TRUE(full.ok());
   const Bytes& bytes = full.value();
 
-  // Every cut inside the record region yields a clean prefix; cuts inside
-  // the file header are corruption.
+  // Every cut yields a clean prefix. A cut inside the file header is a
+  // crash between the truncate and the header write: an empty torn log.
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     auto parsed = parse_journal(std::span(bytes.data(), cut));
-    if (cut < 12) {
-      ASSERT_FALSE(parsed.ok()) << "cut " << cut;
-      EXPECT_EQ(parsed.error().code, ErrorCode::kCorruptData);
-      continue;
-    }
     ASSERT_TRUE(parsed.ok()) << "cut " << cut;
     EXPECT_LE(parsed.value().records.size(), 3u);
     EXPECT_LE(parsed.value().valid_bytes, cut);
+    if (cut < framed::kHeaderSize) {
+      EXPECT_TRUE(parsed.value().torn_tail) << "cut " << cut;
+      EXPECT_TRUE(parsed.value().records.empty()) << "cut " << cut;
+      EXPECT_EQ(parsed.value().valid_bytes, 0u) << "cut " << cut;
+    }
   }
 
-  // A writer reopening a torn journal trims it and appends cleanly.
-  fs::resize_file(path, bytes.size() - 3);
-  {
-    auto writer = JournalWriter::open(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("c")).ok());
+  // Short inputs that are not a prefix of the header stay corruption.
+  for (size_t len = 1; len < framed::kHeaderSize; ++len) {
+    for (const size_t at : {size_t{0}, len - 1}) {
+      Bytes damaged(bytes.begin(), bytes.begin() + static_cast<long>(len));
+      damaged[at] ^= 0x01;
+      auto parsed = parse_journal(damaged);
+      ASSERT_FALSE(parsed.ok()) << "len " << len << " flip at " << at;
+      EXPECT_EQ(parsed.error().code, ErrorCode::kCorruptData);
+    }
   }
-  auto journal = read_journal_file(path);
-  ASSERT_TRUE(journal.ok());
-  EXPECT_FALSE(journal.value().torn_tail);
-  ASSERT_EQ(journal.value().records.size(), 3u);
-  EXPECT_EQ(journal.value().records[1].step.object_name, "a");
-  EXPECT_EQ(journal.value().records[2].step.object_name, "c");
 }
 
 TEST(JournalTest, CorruptedRecordIsRejectedWithTypedError) {
@@ -592,6 +534,47 @@ TEST(SessionStoreTest, StaleJournalAfterCheckpointIsNotDoubleApplied) {
   EXPECT_EQ(recovered.value()->session().score(), expected_score);
 }
 
+TEST(SessionStoreTest, JournalCutInsideHeaderAfterCheckpointReopens) {
+  // Compaction truncates the journal before it writes the new header; a
+  // crash in between leaves 0-11 bytes next to a complete snapshot. The
+  // snapshot alone is then the whole state.
+  auto bundle = classroom_bundle();
+  const InputScript script = classroom_script();
+  for (size_t cut = 0; cut < framed::kHeaderSize; ++cut) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    SessionStore store({.directory = test_dir("store_torn_header"),
+                        .policy = {.every_steps = 0}});
+    size_t expected_events = 0;
+    i64 expected_score = 0;
+    {
+      auto live = store.open_session(bundle, "max");
+      ASSERT_TRUE(live.ok());
+      for (size_t i = 0; i < 4; ++i) {
+        ASSERT_TRUE(live.value()->apply(script[i]).ok());
+      }
+      ASSERT_TRUE(live.value()->checkpoint().ok());
+      expected_events = live.value()->session().event_log().size();
+      expected_score = live.value()->session().score();
+    }
+    fs::resize_file(store.journal_path("max"), cut);
+
+    auto recovered = store.open_session(bundle, "max");
+    ASSERT_TRUE(recovered.ok()) << recovered.error().to_string();
+    EXPECT_TRUE(recovered.value()->resumed());
+    EXPECT_EQ(recovered.value()->replayed_steps(), 0u);
+    EXPECT_EQ(recovered.value()->step_count(), 4u);
+    EXPECT_EQ(recovered.value()->session().event_log().size(),
+              expected_events);
+    EXPECT_EQ(recovered.value()->session().score(), expected_score);
+    // The rewritten journal takes appends that survive the next reopen.
+    ASSERT_TRUE(recovered.value()->apply(script[4]).ok());
+    recovered.value().reset();
+    auto again = store.open_session(bundle, "max");
+    ASSERT_TRUE(again.ok()) << again.error().to_string();
+    EXPECT_EQ(again.value()->replayed_steps(), 1u);
+  }
+}
+
 TEST(SessionStoreTest, AutoCheckpointPolicyCompactsJournal) {
   auto bundle = classroom_bundle();
   const InputScript script = classroom_script();
@@ -610,20 +593,6 @@ TEST(SessionStoreTest, AutoCheckpointPolicyCompactsJournal) {
   auto journal = read_journal_file(store.journal_path("ada"));
   ASSERT_TRUE(journal.ok());
   EXPECT_LE(journal.value().records.size(), 2u);
-}
-
-TEST(SessionStoreTest, TimePolicyCheckpointsOnSimTime) {
-  auto bundle = classroom_bundle();
-  SessionStore store(
-      {.directory = test_dir("store_time"),
-       .policy = {.every_steps = 0, .every_sim_time = seconds(1)}});
-  auto live = store.open_session(bundle, "tim");
-  ASSERT_TRUE(live.ok());
-  // Each applied step advances sim time by 400ms: 3 steps > 1s.
-  ASSERT_TRUE(live.value()->apply(ScriptStep::wait(milliseconds(100))).ok());
-  ASSERT_TRUE(live.value()->apply(ScriptStep::wait(milliseconds(100))).ok());
-  ASSERT_TRUE(live.value()->apply(ScriptStep::wait(milliseconds(100))).ok());
-  EXPECT_GE(live.value()->checkpoints_taken(), 1u);
 }
 
 TEST(SessionStoreTest, CorruptSnapshotIsRejectedTyped) {
@@ -695,6 +664,210 @@ TEST(SessionStoreTest, ClassroomSimulationSuspendsAndResumesStudents) {
   }
   EXPECT_GT(summary.completion_rate, 0.5);
   EXPECT_EQ(store.list_students().size(), 4u);
+}
+
+// --- typed-error sweeps over every durable format --------------------------
+
+/// Feeds `decode` every strict prefix of `bytes` and every single-byte
+/// flip (x ^ 0xFF) of it. `decode` returns a Result or Status and checks
+/// what an accepted input holds. Each input must decode or fail with a
+/// typed error, never crash: truncations with kCorruptData, flips with
+/// kCorruptData or kUnsupported. Returns the rejection counts.
+struct SweepCounts {
+  size_t truncations_rejected = 0;
+  size_t flips_rejected = 0;
+};
+
+template <typename Decode>
+SweepCounts sweep_damage(const Bytes& bytes, Decode&& decode) {
+  SweepCounts counts;
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const auto result = decode(std::span(bytes.data(), len));
+    if (result.ok()) continue;
+    ++counts.truncations_rejected;
+    EXPECT_EQ(result.error().code, ErrorCode::kCorruptData)
+        << "prefix of " << len << " bytes: " << result.error().to_string();
+  }
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    Bytes damaged = bytes;
+    damaged[i] ^= 0xFF;
+    const auto result = decode(std::span<const u8>(damaged));
+    if (result.ok()) continue;
+    ++counts.flips_rejected;
+    EXPECT_TRUE(result.error().code == ErrorCode::kCorruptData ||
+                result.error().code == ErrorCode::kUnsupported)
+        << "flip at byte " << i << ": " << result.error().to_string();
+  }
+  return counts;
+}
+
+TEST(TypedErrorSweep, SessionSnapshot) {
+  auto bundle = classroom_bundle();
+  SimClock clock;
+  GameSession session(bundle, &clock);
+  ASSERT_TRUE(session.start().ok());
+  drive(session, clock, classroom_script(), 0, 5);
+  const Bytes snap = snapshot_of(session, clock, bundle->meta.title);
+
+  const SweepCounts counts = sweep_damage(
+      snap, [](std::span<const u8> in) { return decode_snapshot(in); });
+  EXPECT_EQ(counts.truncations_rejected, snap.size());
+  // Only flips inside the 4-byte tags of *optional* sections (ACTV, TRCK,
+  // ELOG, REWD) can survive — the section is skipped as unknown;
+  // everything else must be caught.
+  EXPECT_GE(counts.flips_rejected + 16, snap.size());
+  EXPECT_GT(counts.flips_rejected, snap.size() * 9 / 10);
+}
+
+TEST(TypedErrorSweep, SessionJournal) {
+  const std::string path = test_dir("sweep_journal") + "/log.journal";
+  {
+    auto writer = JournalWriter::create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value().append_barrier(2, 9).ok());
+    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("door")).ok());
+    ASSERT_TRUE(
+        writer.value().append_step(ScriptStep::use_item("key", "door")).ok());
+    ASSERT_TRUE(writer.value().append_step(ScriptStep::choose(1)).ok());
+  }
+  auto full = read_binary_file(path);
+  ASSERT_TRUE(full.ok());
+  const Bytes& bytes = full.value();
+
+  // A journal that opens holds a clean prefix of what was written: its
+  // valid bytes are the original's and decode to at most its records.
+  const SweepCounts counts =
+      sweep_damage(bytes, [&bytes](std::span<const u8> in) {
+        auto parsed = parse_journal(in);
+        if (parsed.ok()) {
+          const size_t valid = parsed.value().valid_bytes;
+          EXPECT_TRUE(std::equal(in.begin(), in.begin() + valid,
+                                 bytes.begin()));
+          EXPECT_LE(parsed.value().records.size(), 4u);
+        }
+        return parsed;
+      });
+  EXPECT_EQ(counts.truncations_rejected, 0u);  // every cut is a torn tail
+  EXPECT_GT(counts.flips_rejected, bytes.size() / 2);
+}
+
+/// A badge store with two students' grants in its journal, optionally
+/// checkpointed first. Returns the store directory.
+std::string badge_store_fixture(const std::string& name, bool checkpoint) {
+  const std::string dir = test_dir(name);
+  auto store = rewards::BadgeStore::open({.directory = dir}).value();
+  const std::vector<rewards::Unlock> unlocks = {
+      {seconds(2), 1, "first-steps", 10},
+      {seconds(8), 4, "collector", 25},
+      {seconds(9), 6, "explorer", 5}};
+  EXPECT_TRUE(store->commit("amy", unlocks).ok());
+  EXPECT_TRUE(store->commit("zoe", unlocks).ok());
+  if (checkpoint) {
+    EXPECT_TRUE(store->checkpoint().ok());
+  }
+  return dir;
+}
+
+/// Opens a copy of the `fixture` store whose `file` holds `content` and
+/// returns every student record, or the open error.
+Result<std::vector<rewards::StudentBadges>> open_damaged_store(
+    const std::string& fixture, const std::string& file,
+    std::span<const u8> content) {
+  const std::string dir = fixture + ".damaged";
+  fs::remove_all(dir);
+  fs::copy(fixture, dir);
+  EXPECT_TRUE(write_binary_file_atomic(dir + "/" + file, content).ok());
+  auto store = rewards::BadgeStore::open({.directory = dir});
+  if (!store.ok()) return store.error();
+  return store.value()->all();
+}
+
+TEST(TypedErrorSweep, BadgeJournal) {
+  const std::string fixture = badge_store_fixture("sweep_badge_journal", false);
+  auto full = read_binary_file(fixture + "/badges.journal");
+  ASSERT_TRUE(full.ok());
+  const Bytes& bytes = full.value();
+  auto intact = open_damaged_store(fixture, "badges.journal", bytes);
+  ASSERT_TRUE(intact.ok());
+  const std::vector<rewards::StudentBadges> written = intact.value();
+  ASSERT_EQ(written.size(), 2u);
+
+  // Grants are journaled in commit order, so a clean journal prefix leaves
+  // every student with a prefix of their grants.
+  const SweepCounts counts = sweep_damage(bytes, [&](std::span<const u8> in) {
+    auto opened = open_damaged_store(fixture, "badges.journal", in);
+    if (!opened.ok()) return opened;
+    for (const rewards::StudentBadges& s : opened.value()) {
+      const auto it = std::find_if(
+          written.begin(), written.end(),
+          [&s](const auto& w) { return w.student_id == s.student_id; });
+      if (it == written.end()) {
+        ADD_FAILURE() << "unknown student " << s.student_id;
+        continue;
+      }
+      EXPECT_LE(s.grants.size(), it->grants.size());
+      EXPECT_TRUE(
+          std::equal(s.grants.begin(), s.grants.end(), it->grants.begin()))
+          << s.student_id << " holds grants that were never written";
+    }
+    return opened;
+  });
+  EXPECT_EQ(counts.truncations_rejected, 0u);  // every cut is a torn tail
+  EXPECT_GT(counts.flips_rejected, bytes.size() / 2);
+}
+
+TEST(TypedErrorSweep, BadgeSnapshot) {
+  const std::string fixture = badge_store_fixture("sweep_badge_snap", true);
+  auto full = read_binary_file(fixture + "/badges.snap");
+  ASSERT_TRUE(full.ok());
+  const Bytes& bytes = full.value();
+
+  // The header and the body are both CRC-checked: nothing damaged opens.
+  const SweepCounts counts = sweep_damage(bytes, [&](std::span<const u8> in) {
+    return open_damaged_store(fixture, "badges.snap", in);
+  });
+  EXPECT_EQ(counts.truncations_rejected, bytes.size());
+  EXPECT_EQ(counts.flips_rejected, bytes.size());
+}
+
+template <typename T>
+ErrorCode code_of(const Result<T>& result) {
+  return result.ok() ? ErrorCode::kOk : result.error().code;
+}
+
+TEST(TypedErrorSweep, WrongMagicAndFutureVersionAreTypedForEveryFormat) {
+  const std::string fixture = badge_store_fixture("sweep_versions", true);
+  const auto badge_file = [&fixture](const char* file) {
+    return [&fixture, file](std::span<const u8> in) {
+      return code_of(open_damaged_store(fixture, file, in));
+    };
+  };
+  struct Format {
+    const char* name;
+    u32 magic;
+    u16 version;
+    std::function<ErrorCode(std::span<const u8>)> decode;
+  };
+  const Format formats[] = {
+      {"session snapshot", kSnapshotMagic, kSnapshotVersion,
+       [](std::span<const u8> in) { return code_of(decode_snapshot(in)); }},
+      {"session journal", kJournalMagic, kJournalVersion,
+       [](std::span<const u8> in) { return code_of(parse_journal(in)); }},
+      {"badge snapshot", rewards::kBadgeSnapshotMagic,
+       rewards::kBadgeFormatVersion, badge_file("badges.snap")},
+      {"badge journal", rewards::kBadgeJournalMagic,
+       rewards::kBadgeFormatVersion, badge_file("badges.journal")},
+  };
+  for (const Format& f : formats) {
+    SCOPED_TRACE(f.name);
+    // A validly framed header with a future version says "unsupported".
+    ByteWriter future;
+    framed::put_header(future, f.magic, f.version + 9, 0);
+    EXPECT_EQ(f.decode(future.bytes()), ErrorCode::kUnsupported);
+    ByteWriter foreign;
+    framed::put_header(foreign, f.magic ^ 0x01000000, f.version, 0);
+    EXPECT_EQ(f.decode(foreign.bytes()), ErrorCode::kCorruptData);
+  }
 }
 
 }  // namespace

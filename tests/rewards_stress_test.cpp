@@ -42,8 +42,7 @@ std::string test_dir(const std::string& name) {
 TEST(RewardsStressTest, SixtyFourStudentsOneStoreLiveScraper) {
   obs::ScopedEnable metrics_on;
   auto badge_store =
-      rewards::BadgeStore::open({.directory = test_dir("classroom64"),
-                                 .checkpoint_every_commits = 16})
+      rewards::BadgeStore::open({.directory = test_dir("classroom64")})
           .value();
 
   ClassroomOptions options;
@@ -55,12 +54,13 @@ TEST(RewardsStressTest, SixtyFourStudentsOneStoreLiveScraper) {
   options.badge_store = badge_store.get();
 
   // Scraper thread: reads the store (leaderboards, per-student records)
-  // and the metrics registry while the workers commit — the races-by-
-  // design surface the TSan tree must prove clean.
+  // and the metrics registry, and checkpoints it, while the workers
+  // commit — the races-by-design surface the TSan tree must prove clean.
   std::atomic<bool> done{false};
   std::atomic<u64> scrapes{0};
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(badge_store->checkpoint().ok());
       const rewards::Leaderboard board =
           rewards::leaderboard_from_store(*badge_store);
       rewards::export_leaderboard_metrics(board);
@@ -94,7 +94,7 @@ TEST(RewardsStressTest, SixtyFourStudentsOneStoreLiveScraper) {
   EXPECT_EQ(badge_store->student_count(), 64u);
 
   // Post-run store state survives a final checkpoint + reopen, whatever
-  // interleaving the auto-checkpoints raced through.
+  // interleaving the scraper's checkpoints raced through.
   ASSERT_TRUE(badge_store->checkpoint().ok());
   const std::string dir = badge_store->directory();
   badge_store.reset();

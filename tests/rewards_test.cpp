@@ -379,9 +379,48 @@ TEST(BadgeStoreTest, TornJournalTailIsTrimmed) {
     const char partial[] = {1, 0x2a, 0x2a};
     out.write(partial, sizeof partial);
   }
-  auto reopened = BadgeStore::open({.directory = dir});
-  ASSERT_TRUE(reopened.ok()) << reopened.error().message;
-  EXPECT_EQ(reopened.value()->student("amy").grants.size(), 2u);
+  {
+    auto reopened = BadgeStore::open({.directory = dir});
+    ASSERT_TRUE(reopened.ok()) << reopened.error().message;
+    EXPECT_EQ(reopened.value()->student("amy").grants.size(), 2u);
+    // The reopen trimmed the tail, so the next grant starts at a clean
+    // record boundary instead of being glued onto the partial one.
+    const std::vector<Unlock> later = {{seconds(20), 9, "late-badge", 5}};
+    ASSERT_TRUE(reopened.value()->commit("amy", later).ok());
+  }
+  auto again = BadgeStore::open({.directory = dir});
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(again.value()->student("amy").grants.size(), 3u);
+}
+
+TEST(BadgeStoreTest, JournalCutInsideHeaderAfterCheckpointReopens) {
+  // A checkpoint truncates the journal before it writes the new header; a
+  // crash in between leaves 0-11 bytes next to a complete snapshot. The
+  // store must reopen from the snapshot and keep journaling.
+  for (size_t cut = 0; cut < framed::kHeaderSize; ++cut) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    const std::string dir = test_dir("torn_header");
+    std::string journal;
+    {
+      auto store = BadgeStore::open({.directory = dir}).value();
+      ASSERT_TRUE(store->commit("amy", sample_unlocks()).ok());
+      ASSERT_TRUE(store->checkpoint().ok());
+      journal = store->journal_path();
+    }
+    fs::resize_file(journal, cut);
+    {
+      auto reopened = BadgeStore::open({.directory = dir});
+      ASSERT_TRUE(reopened.ok()) << reopened.error().message;
+      EXPECT_EQ(reopened.value()->sequence(), 1u);
+      EXPECT_EQ(reopened.value()->student("amy").total_points, 35);
+      const std::vector<Unlock> later = {{seconds(20), 9, "late-badge", 5}};
+      ASSERT_TRUE(reopened.value()->commit("zoe", later).ok());
+    }
+    auto again = BadgeStore::open({.directory = dir});
+    ASSERT_TRUE(again.ok()) << again.error().message;
+    EXPECT_EQ(again.value()->student("amy").grants.size(), 2u);
+    EXPECT_EQ(again.value()->student("zoe").grants.size(), 1u);
+  }
 }
 
 TEST(BadgeStoreTest, MidJournalCorruptionIsTypedError) {
