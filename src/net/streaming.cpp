@@ -71,25 +71,6 @@ StreamClient::StreamClient(u32 id, const VideoContainer* container,
   }
 }
 
-SegmentId StreamClient::current_segment() const {
-  if (finished_ || path_pos_ >= path_.size()) return {};
-  return path_[path_pos_];
-}
-
-std::vector<SegmentId> StreamClient::upcoming_segments(int max_count) const {
-  std::vector<SegmentId> out;
-  for (size_t i = path_pos_ + 1;
-       i < path_.size() && static_cast<int>(out.size()) < max_count; ++i) {
-    out.push_back(path_[i]);
-  }
-  return out;
-}
-
-int StreamClient::next_needed_frame(SegmentId segment) const {
-  auto it = buffers_.find(segment.value);
-  return it == buffers_.end() ? 0 : it->second.prefix;
-}
-
 void StreamClient::advance_prefix(SegmentBuffer& buf) {
   while (!buf.pending.empty() && *buf.pending.begin() == buf.prefix) {
     buf.pending.erase(buf.pending.begin());
@@ -97,7 +78,7 @@ void StreamClient::advance_prefix(SegmentBuffer& buf) {
   }
 }
 
-void StreamClient::on_packet(const Packet& packet, MicroTime now) {
+void StreamClient::on_packet(const Packet& packet) {
   stats_.bytes_received += packet.size;
 
   // ARQ receive state. Retransmissions reuse the original sequence number,
@@ -111,7 +92,6 @@ void StreamClient::on_packet(const Packet& packet, MicroTime now) {
   } else if (packet.sequence > rx_cum_) {
     rx_above_cum_.insert(packet.sequence);
   }
-  rx_highest_ = std::max(rx_highest_, packet.sequence);
   missing_since_.erase(packet.sequence);
   missing_since_.erase(missing_since_.begin(),
                        missing_since_.upper_bound(rx_cum_));
@@ -128,7 +108,6 @@ void StreamClient::on_packet(const Packet& packet, MicroTime now) {
   } else {
     buf.pending.insert(packet.frame_index);
   }
-  (void)now;
 }
 
 std::optional<FeedbackPacket> StreamClient::make_feedback(MicroTime now) {
@@ -174,6 +153,8 @@ std::optional<FeedbackPacket> StreamClient::make_feedback(MicroTime now) {
 }
 
 void StreamClient::start_segment(MicroTime now) {
+  segment_ = container_->segment_by_id(path_[path_pos_]);
+  buffer_ = &buffers_[path_[path_pos_].value];
   segment_requested_at_ = now;
   state_ = PlayState::kBuffering;
   state_since_ = now;
@@ -197,12 +178,12 @@ void StreamClient::skip_blocked_frames(SegmentBuffer& buf) {
 
 void StreamClient::tick(MicroTime now) {
   if (finished_) return;
-  const ContainerSegment* seg = container_->segment_by_id(current_segment());
+  const ContainerSegment* seg = segment_;
   if (!seg) {
     finished_ = true;
     return;
   }
-  SegmentBuffer& buf = buffers_[current_segment().value];
+  SegmentBuffer& buf = *buffer_;
   const MicroTime frame_period = 1'000'000 / std::max(1, container_->fps());
 
   if (state_ == PlayState::kStalled) {
@@ -349,18 +330,20 @@ StreamClient& StreamServer::add_client(std::vector<SegmentId> path) {
   const u32 id = static_cast<u32>(clients_.size()) + 1;
   clients_.push_back(
       std::make_unique<StreamClient>(id, container_, std::move(path), config_));
+  flows_.emplace_back().send_progress.assign(container_->segments().size(), 0);
   return *clients_.back();
 }
 
-MicroTime StreamServer::rto(const FlowArq& arq) const {
-  if (!arq.rtt_valid) return config_.initial_rto;
-  const auto estimate = static_cast<MicroTime>(arq.srtt + 4.0 * arq.rttvar);
+MicroTime StreamServer::rto(const Flow& flow) const {
+  if (!flow.rtt_valid) return config_.initial_rto;
+  const auto estimate = static_cast<MicroTime>(flow.srtt + 4.0 * flow.rttvar);
   return std::clamp(estimate, config_.min_rto, config_.max_rto);
 }
 
 void StreamServer::on_feedback(const FeedbackPacket& fb, MicroTime now) {
   ++arq_stats_.feedback_received;
-  FlowArq& arq = arq_[fb.flow];
+  if (fb.flow < 1 || fb.flow > flows_.size()) return;
+  Flow& arq = flows_[fb.flow - 1];
 
   // The cumulative ACK clears the unacked window. RTT sample from the
   // newest acked first-transmission (Karn's rule: a retransmitted packet's
@@ -407,7 +390,8 @@ void StreamServer::on_feedback(const FeedbackPacket& fb, MicroTime now) {
 }
 
 void StreamServer::check_timeouts(MicroTime now) {
-  for (auto& [flow, arq] : arq_) {
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    Flow& arq = flows_[i];
     if (arq.unacked.empty() || now < arq.next_timeout_at) continue;
     const MicroTime base = rto(arq);
     MicroTime next = kNever;
@@ -443,7 +427,7 @@ void StreamServer::check_timeouts(MicroTime now) {
         continue;
       }
       u.queued = true;
-      retransmit_queue_.emplace_back(flow, it->first);
+      retransmit_queue_.emplace_back(static_cast<u32>(i + 1), it->first);
       ++it;
     }
     arq.next_timeout_at = next;
@@ -454,10 +438,9 @@ bool StreamServer::send_one_retransmit(MicroTime now) {
   while (!retransmit_queue_.empty()) {
     const auto [flow, seq] = retransmit_queue_.front();
     retransmit_queue_.pop_front();
-    auto fit = arq_.find(flow);
-    if (fit == arq_.end()) continue;
-    auto it = fit->second.unacked.find(seq);
-    if (it == fit->second.unacked.end()) continue;  // acked in the meantime
+    Flow& arq = flows_[flow - 1];
+    auto it = arq.unacked.find(seq);
+    if (it == arq.unacked.end()) continue;  // acked in the meantime
     UnackedPacket& u = it->second;
     u.queued = false;
     network_.send(u.packet, now);
@@ -466,10 +449,9 @@ bool StreamServer::send_one_retransmit(MicroTime now) {
     ++arq_stats_.retransmits;
     VGBL_COUNT(StreamMetrics::get().retransmits);
     const MicroTime backoff = std::min(
-        static_cast<MicroTime>(rto(fit->second) << std::min(u.retries, 6)),
+        static_cast<MicroTime>(rto(arq) << std::min(u.retries, 6)),
         config_.max_rto);
-    fit->second.next_timeout_at =
-        std::min(fit->second.next_timeout_at, now + backoff);
+    arq.next_timeout_at = std::min(arq.next_timeout_at, now + backoff);
     return true;
   }
   return false;
@@ -477,33 +459,40 @@ bool StreamServer::send_one_retransmit(MicroTime now) {
 
 bool StreamServer::pump_client(StreamClient& client, MicroTime now) {
   if (client.finished()) return false;
-  FlowArq& arq = arq_[client.id()];
+  Flow& flow = flows_[client.id() - 1];
   // ARQ flow control: a full window means the link (or the client) is not
   // keeping up — pushing more new frames would only grow server state.
-  if (static_cast<int>(arq.unacked.size()) >= config_.max_unacked_per_flow) {
+  if (static_cast<int>(flow.unacked.size()) >= config_.max_unacked_per_flow) {
     return false;
   }
+  // Idle marker. What a flow can send is fixed by its path position and
+  // its send progress, and progress moves only when this flow sends, so a
+  // flow that found nothing at this position finds nothing again until
+  // the client moves on.
+  const size_t pos = client.path_position();
+  if (flow.idle_at == pos) return false;
 
-  // Service order: current segment first, then prefetch candidates.
-  std::vector<SegmentId> wanted{client.current_segment()};
-  if (config_.prefetch_enabled) {
-    for (SegmentId s : client.upcoming_segments(config_.prefetch_fanout)) {
-      wanted.push_back(s);
-    }
-  }
-
-  for (SegmentId seg_id : wanted) {
-    const ContainerSegment* seg = container_->segment_by_id(seg_id);
+  // Service order: current segment first, then the prefetch candidates
+  // that follow it on the path.
+  const std::vector<SegmentId>& path = client.path();
+  const size_t fanout =
+      config_.prefetch_enabled
+          ? static_cast<size_t>(std::max(0, config_.prefetch_fanout))
+          : 0;
+  const size_t end = std::min(path.size(), pos + 1 + fanout);
+  for (size_t i = pos; i < end; ++i) {
+    const ContainerSegment* seg = container_->segment_by_id(path[i]);
     if (!seg) continue;
-    int& progress = send_progress_[{client.id(), seg_id.value}];
+    int& progress = flow.send_progress[static_cast<size_t>(
+        seg - container_->segments().data())];
     if (progress >= seg->frame_count) continue;
 
     auto data = container_->frame_data(seg->first_frame + progress);
     if (!data.ok()) continue;
     Packet p;
     p.flow = client.id();
-    p.sequence = ++flow_sequence_[client.id()];
-    p.segment = seg_id.value;
+    p.sequence = ++flow.sequence;
+    p.segment = path[i].value;
     p.frame_index = progress;
     p.frame_complete = true;
     p.size = static_cast<u32>(data.value().size());
@@ -515,10 +504,11 @@ bool StreamServer::pump_client(StreamClient& client, MicroTime now) {
     UnackedPacket u;
     u.packet = p;
     u.last_sent = now;
-    arq.next_timeout_at = std::min(arq.next_timeout_at, now + rto(arq));
-    arq.unacked.emplace(p.sequence, u);
+    flow.next_timeout_at = std::min(flow.next_timeout_at, now + rto(flow));
+    flow.unacked.emplace(p.sequence, u);
     return true;
   }
+  flow.idle_at = pos;
   return false;
 }
 
@@ -526,7 +516,7 @@ bool StreamServer::step(MicroTime now) {
   // Deliver arrived packets.
   for (const Packet& p : network_.poll(now)) {
     if (p.flow >= 1 && p.flow <= clients_.size()) {
-      clients_[p.flow - 1]->on_packet(p, now);
+      clients_[p.flow - 1]->on_packet(p);
     }
   }
   // Process client feedback and fire retransmission timeouts.

@@ -117,21 +117,21 @@ class StreamClient {
  public:
   StreamClient(u32 id, const VideoContainer* container,
                std::vector<SegmentId> path, const StreamingConfig& config);
+  // Holds pointers into its own buffer map (the current segment's buffer).
+  StreamClient(const StreamClient&) = delete;
+  StreamClient& operator=(const StreamClient&) = delete;
 
   [[nodiscard]] u32 id() const { return id_; }
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
 
-  /// The segment the client currently needs (invalid when finished).
-  [[nodiscard]] SegmentId current_segment() const;
-  /// Segments after the current one on the client's path (for prefetch).
-  [[nodiscard]] std::vector<SegmentId> upcoming_segments(int max_count) const;
+  /// The client's walk, and the index of the segment it currently needs
+  /// (below path().size() until finished). The server reads its prefetch
+  /// candidates from the path in place.
+  [[nodiscard]] const std::vector<SegmentId>& path() const { return path_; }
+  [[nodiscard]] size_t path_position() const { return path_pos_; }
 
-  /// First frame of `segment` not yet available to the player (arrived
-  /// frames and skip decisions both count as available).
-  [[nodiscard]] int next_needed_frame(SegmentId segment) const;
-
-  void on_packet(const Packet& packet, MicroTime now);
+  void on_packet(const Packet& packet);
   /// Advances the playback model to `now`.
   void tick(MicroTime now);
 
@@ -163,10 +163,13 @@ class StreamClient {
   bool finished_ = false;
 
   std::map<u32, SegmentBuffer> buffers_;
+  // The current segment and its buffer, looked up once per segment in
+  // start_segment(); null segment: the id is not in the container.
+  const ContainerSegment* segment_ = nullptr;
+  SegmentBuffer* buffer_ = nullptr;
 
   // ARQ receive state (per-flow sequence space).
   u64 rx_cum_ = 0;                 // every sequence <= this has arrived
-  u64 rx_highest_ = 0;             // highest sequence seen
   std::set<u64> rx_above_cum_;     // arrived sequences past the first gap
   std::map<u64, MicroTime> missing_since_;  // gap -> first observed missing
   u64 last_fed_back_cum_ = 0;
@@ -258,13 +261,23 @@ class StreamServer {
     int retries = 0;
     bool queued = false;  // sitting in the retransmit queue
   };
-  struct FlowArq {
+  static constexpr size_t kNotIdle = static_cast<size_t>(-1);
+  /// Everything the server keeps per flow; flow f lives at flows_[f - 1].
+  struct Flow {
+    // ARQ window.
     std::map<u64, UnackedPacket> unacked;
     // Jacobson/Karn RTT estimation (microseconds).
     f64 srtt = 0;
     f64 rttvar = 0;
     bool rtt_valid = false;
     MicroTime next_timeout_at = 0;  // earliest RTO among unacked entries
+    u64 sequence = 0;               // last sequence number sent
+    /// Next frame to transmit per segment, indexed by the segment's
+    /// position in VideoContainer::segments().
+    std::vector<int> send_progress;
+    /// Path position at which the flow last had nothing to send; it has
+    /// nothing until the client's path position moves (see pump_client).
+    size_t idle_at = kNotIdle;
   };
 
   /// Sends one pending frame-chunk for `client`; returns false when the
@@ -273,7 +286,7 @@ class StreamServer {
   void on_feedback(const FeedbackPacket& fb, MicroTime now);
   void check_timeouts(MicroTime now);
   /// Current retransmission timeout for one flow (before backoff).
-  [[nodiscard]] MicroTime rto(const FlowArq& arq) const;
+  [[nodiscard]] MicroTime rto(const Flow& flow) const;
   /// Re-sends one queued retransmission; false when the queue is empty.
   bool send_one_retransmit(MicroTime now);
 
@@ -282,12 +295,9 @@ class StreamServer {
   SimulatedNetwork network_;
   FeedbackLink feedback_;
   std::vector<std::unique_ptr<StreamClient>> clients_;
-  std::map<u32, u64> flow_sequence_;
-  std::map<u32, FlowArq> arq_;
+  std::vector<Flow> flows_;  // parallel to clients_
   std::deque<std::pair<u32, u64>> retransmit_queue_;  // (flow, sequence)
   ArqStats arq_stats_;
-  // Per (client, segment) send progress: next frame index to transmit.
-  std::map<std::pair<u32, u32>, int> send_progress_;
   // Round-robin cursors, persistent across steps: new frames / feedback
   // uplink access.
   size_t rr_ = 0;

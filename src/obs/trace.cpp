@@ -11,6 +11,7 @@ struct TraceLog::Ring {
   std::vector<TraceEvent> events VGBL_GUARDED_BY(mutex);  // circular
   size_t next VGBL_GUARDED_BY(mutex) = 0;
   bool wrapped VGBL_GUARDED_BY(mutex) = false;
+  u64 dropped VGBL_GUARDED_BY(mutex) = 0;  // see TraceLog::dropped()
   u32 thread_index = 0;  // immutable after construction
   std::atomic<bool> in_use{false};
 };
@@ -51,6 +52,7 @@ TraceLog::Ring& TraceLog::ring_for_this_thread() {
       // Recycled from a finished thread: the dead thread's history goes,
       // keeping total memory bounded by peak concurrency.
       MutexLock ring_lock(ring->mutex);
+      ring->dropped += ring->events.size();
       ring->events.clear();
       ring->next = 0;
       ring->wrapped = false;
@@ -77,6 +79,7 @@ void TraceLog::record(TraceEvent event) {
   } else {
     ring.events[ring.next] = event;
     ring.wrapped = true;
+    ++ring.dropped;
   }
   ring.next = (ring.next + 1) % kRingCapacity;
 }
@@ -106,7 +109,18 @@ void TraceLog::clear() {
     ring->events.clear();
     ring->next = 0;
     ring->wrapped = false;
+    ring->dropped = 0;
   }
+}
+
+u64 TraceLog::dropped() const {
+  u64 total = 0;
+  MutexLock lock(rings_mutex_);
+  for (const auto& ring : rings_) {
+    MutexLock ring_lock(ring->mutex);
+    total += ring->dropped;
+  }
+  return total;
 }
 
 size_t TraceLog::ring_count() const {

@@ -1,8 +1,9 @@
 // Lightweight trace spans. A SpanScope stamps the sim clock (when the
 // instrumented code has one) at open and close and measures wall duration;
 // the finished span lands in a per-thread ring buffer, so memory stays
-// bounded (kRingCapacity events per thread, oldest overwritten) and a
-// span's hot-path cost is one uncontended mutex lock plus a slot write.
+// bounded (kRingCapacity events per thread, oldest overwritten and
+// counted in dropped()) and a span's hot-path cost is one uncontended
+// mutex lock plus a slot write.
 // Rings are recycled when their thread exits, so long-lived processes that
 // churn thread pools stay bounded by the *peak concurrent* thread count.
 //
@@ -50,8 +51,14 @@ class TraceLog {
   [[nodiscard]] std::vector<TraceEvent> snapshot() const
       VGBL_EXCLUDES(rings_mutex_);
 
-  /// Drops all recorded events (rings stay allocated for their threads).
+  /// Drops all recorded events and zeroes dropped() (rings stay allocated
+  /// for their threads).
   void clear() VGBL_EXCLUDES(rings_mutex_);
+
+  /// Events recorded since the last clear() that snapshot() can no longer
+  /// return: overwritten in a full ring, or discarded when a finished
+  /// thread's ring was recycled.
+  [[nodiscard]] u64 dropped() const VGBL_EXCLUDES(rings_mutex_);
 
   /// Rings ever allocated — bounded by peak concurrent recording threads.
   [[nodiscard]] size_t ring_count() const VGBL_EXCLUDES(rings_mutex_);

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/lint.hpp"
@@ -86,9 +87,9 @@ TEST(LintConfig, RepoRulesParse) {
   for (const char* expected :
        {"determinism-wallclock", "determinism-random", "determinism-sleep",
         "no-naked-new", "gen-generator-determinism",
-        "replay-state-unordered", "durable-file-io", "obs-guarded-metric",
-        "include-hygiene", "banned-pattern", "determinism-taint",
-        "lock-order-cycle", "nodiscard-result"}) {
+        "replay-state-unordered", "durable-file-io", "wallclock-choke-point",
+        "obs-guarded-metric", "include-hygiene", "banned-pattern",
+        "determinism-taint", "lock-order-cycle", "nodiscard-result"}) {
     EXPECT_TRUE(std::count(ids.begin(), ids.end(), expected) == 1)
         << "missing rule " << expected;
   }
@@ -122,6 +123,18 @@ TEST(LintFixtures, WallclockBadFires) {
                 repo_rules());
   expect_only(findings, "determinism-wallclock");
   EXPECT_GE(findings.size(), 2u);  // steady_clock + high_resolution_clock
+}
+
+TEST(LintFixtures, WallclockChokePointFires) {
+  // src/media is outside the determinism rules, so only the one-clock rule
+  // sees these reads.
+  const auto findings =
+      lint_file("src/media/wallclock_choke_bad.cpp",
+                fixture("wallclock_choke_bad.cpp"), repo_rules());
+  expect_only(findings, "wallclock-choke-point");
+  // steady_clock, system_clock, high_resolution_clock, clock_gettime,
+  // gettimeofday.
+  EXPECT_EQ(findings.size(), 5u);
 }
 
 TEST(LintFixtures, RandomBadFires) {
@@ -302,11 +315,44 @@ TEST(LintScoping, AllowlistExemptsSimClock) {
 }
 
 TEST(LintScoping, DeterminismRulesStopAtLayerBoundary) {
-  // src/media is outside the deterministic layers: wall-clock reads are
-  // legal there (the decode pipeline times real work).
+  // src/media is outside the deterministic layers, so the determinism
+  // rule stays quiet there; its timing still goes through the obs choke
+  // point (WallclockChokePointFires).
   const std::string source = fixture("wallclock_bad.cpp");
   const auto findings = lint_file("src/media/x.cpp", source, repo_rules());
   EXPECT_FALSE(fires(findings, "determinism-wallclock"));
+}
+
+TEST(LintScoping, WallclockChokePointSkipsObs) {
+  // src/obs is the choke point itself (obs::wall_now_us, SpanScope); the
+  // same reads fire in the src/ layers that no determinism rule covers.
+  const std::string source = fixture("wallclock_choke_bad.cpp");
+  EXPECT_FALSE(fires(lint_file("src/obs/x.cpp", source, repo_rules()),
+                     "wallclock-choke-point"));
+  for (const char* path :
+       {"src/runtime/x.cpp", "src/video/x.cpp", "src/author/x.cpp"}) {
+    EXPECT_TRUE(fires(lint_file(path, source, repo_rules()),
+                      "wallclock-choke-point"))
+        << path;
+  }
+}
+
+TEST(LintScoping, EachWallclockReadFiresOneRule) {
+  // The determinism layers and src/gen ban the same five clocks under
+  // their own rules, which wallclock-choke-point skips: one finding per
+  // read, never two.
+  const std::string source = fixture("wallclock_choke_bad.cpp");
+  const std::pair<const char*, const char*> cases[] = {
+      {"src/core/x.cpp", "determinism-wallclock"},
+      {"src/sim/x.cpp", "determinism-wallclock"},
+      {"src/gen/x.cpp", "gen-generator-determinism"},
+  };
+  for (const auto& [path, rule] : cases) {
+    SCOPED_TRACE(path);
+    const auto findings = lint_file(path, source, repo_rules());
+    expect_only(findings, rule);
+    EXPECT_EQ(findings.size(), 5u);
+  }
 }
 
 TEST(LintScoping, ObsLayerMayTouchMetricsRaw) {

@@ -265,9 +265,13 @@ TEST(ObsTrace, DisabledSpansRecordNothing) {
   {
     obs::SpanScope span("test.disabled");
   }
+  for (size_t i = 0; i <= obs::TraceLog::kRingCapacity; ++i) {
+    obs::TraceLog::global().record(obs::TraceEvent{.name = "test.disabled"});
+  }
   for (const auto& e : obs::TraceLog::global().snapshot()) {
     EXPECT_NE(std::string_view(e.name), "test.disabled");
   }
+  EXPECT_EQ(obs::TraceLog::global().dropped(), 0u);
 }
 
 TEST(ObsTrace, RingOverwritesOldestAndStaysBounded) {
@@ -289,7 +293,9 @@ TEST(ObsTrace, RingOverwritesOldestAndStaysBounded) {
   }
   EXPECT_LE(flood, obs::TraceLog::kRingCapacity);
   EXPECT_EQ(newest, static_cast<MicroTime>(total - 1));  // newest survived
+  EXPECT_EQ(obs::TraceLog::global().dropped(), 100u);  // and said so
   obs::TraceLog::global().clear();
+  EXPECT_EQ(obs::TraceLog::global().dropped(), 0u);
 }
 
 TEST(ObsTimer, ObservesOneSampleWhenEnabled) {

@@ -325,6 +325,12 @@ int write_metrics_scrape(const std::string& out) {
   if (!spans.empty()) {
     std::printf("%s", obs::render_trace_summary(spans).c_str());
   }
+  if (const u64 dropped = obs::TraceLog::global().dropped(); dropped > 0) {
+    std::printf("trace: %llu older span(s) dropped (rings hold %zu per "
+                "thread)\n",
+                static_cast<unsigned long long>(dropped),
+                obs::TraceLog::kRingCapacity);
+  }
   return 0;
 }
 
