@@ -107,6 +107,7 @@ Result<GameBundle> load_bundle(Bytes data) {
   bundle.items = std::move(p.items);
   bundle.combines = std::move(p.combines);
   bundle.rules = std::move(p.rules);
+  bundle.rule_book = RuleBook(bundle.rules);
   bundle.dialogues = std::move(p.dialogues);
   bundle.quizzes = std::move(p.quizzes);
   bundle.video = std::make_shared<VideoContainer>(std::move(container.value()));

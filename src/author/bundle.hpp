@@ -13,7 +13,8 @@
 namespace vgbl {
 
 /// Everything the runtime needs to play a game. Produced by `load_bundle`
-/// (or assembled directly by tests).
+/// and immutable once shared: every session of a bundle reads its data,
+/// including the compiled rule book, in place.
 struct GameBundle {
   ProjectMeta meta;
   ScenarioGraph graph;
@@ -21,6 +22,9 @@ struct GameBundle {
   ItemCatalog items;
   CombineTable combines;
   std::vector<EventRule> rules;
+  /// `rules` indexed and with every guard compiled, built by `load_bundle`.
+  /// Every session of the bundle dispatches through this one book.
+  RuleBook rule_book;
   std::vector<DialogueTree> dialogues;
   std::vector<Quiz> quizzes;
   std::shared_ptr<VideoContainer> video;

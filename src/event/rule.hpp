@@ -30,9 +30,11 @@ struct EventRule {
 /// Evaluation strategy for rule guards (E6 ablation).
 enum class GuardEngine { kInterpreter, kCompiledVm };
 
-/// Immutable, indexed rule collection. Build once per loaded game; the
-/// index buckets rules by (trigger type, primary key) so dispatch touches
-/// only plausible candidates instead of scanning every rule.
+/// Immutable, indexed rule collection. Built once per loaded game
+/// (`load_bundle` keeps it in the bundle, and every session of that bundle
+/// reads the one copy, from any thread); each guard is compiled here, once.
+/// The index buckets rules by (trigger type, primary key) so dispatch
+/// touches only plausible candidates instead of scanning every rule.
 class RuleBook {
  public:
   RuleBook() = default;
@@ -41,7 +43,6 @@ class RuleBook {
 
   [[nodiscard]] const std::vector<EventRule>& rules() const { return rules_; }
   [[nodiscard]] size_t size() const { return rules_.size(); }
-  [[nodiscard]] GuardEngine engine() const { return engine_; }
 
   /// Rules whose trigger pattern matches `event` AND whose guard passes
   /// against `state`, in declaration order. `disarmed` carries the fired
@@ -57,6 +58,14 @@ class RuleBook {
       ScenarioId scenario) const;
 
   [[nodiscard]] const EventRule* find(RuleId id) const;
+
+  /// Whether `rule`'s guard passes against `state`, through the guard
+  /// compiled at construction. `rule` must point into rules() (as the
+  /// results of find, match and timers_for do).
+  [[nodiscard]] bool guard_passes(const EventRule& rule,
+                                  const GameStateView& state) const {
+    return guard_passes(static_cast<size_t>(&rule - rules_.data()), state);
+  }
 
  private:
   [[nodiscard]] bool guard_passes(size_t rule_index,

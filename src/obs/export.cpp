@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
 
 #include "util/text.hpp"
 
@@ -192,25 +191,13 @@ std::string render_snapshot(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-std::string render_trace_summary(const std::vector<TraceEvent>& events) {
-  struct Agg {
-    u64 count = 0;
-    f64 wall_ms = 0;
-    f64 sim_ms = 0;
-  };
-  std::map<std::string, Agg> by_name;
-  for (const TraceEvent& e : events) {
-    Agg& a = by_name[e.name];
-    ++a.count;
-    a.wall_ms += e.wall_ms;
-    a.sim_ms += to_millis(e.sim_end - e.sim_start);
-  }
+std::string render_trace_summary(const std::vector<SpanTotal>& totals) {
   std::string out;
   out += pad_right("span", 28) + pad_right("count", 10) +
          pad_right("wall ms", 12) + pad_right("mean ms", 12) + "mean sim ms\n";
-  for (const auto& [name, a] : by_name) {
+  for (const SpanTotal& a : totals) {
     const f64 n = static_cast<f64>(a.count);
-    out += pad_right(name, 28) + pad_right(std::to_string(a.count), 10) +
+    out += pad_right(a.name, 28) + pad_right(std::to_string(a.count), 10) +
            pad_right(format_double(a.wall_ms, 2), 12) +
            pad_right(format_double(a.wall_ms / n, 3), 12) +
            format_double(a.sim_ms / n, 2) + "\n";

@@ -33,8 +33,9 @@ namespace vgbl::obs {
 /// count/mean/p50/p99, prefixed by the subsystems present.
 [[nodiscard]] std::string render_snapshot(const MetricsSnapshot& snapshot);
 
-/// Aggregates spans by name: count, total/mean wall ms, mean sim ms.
+/// One row per span name (TraceLog::totals()): count, total/mean wall ms,
+/// mean sim ms.
 [[nodiscard]] std::string render_trace_summary(
-    const std::vector<TraceEvent>& events);
+    const std::vector<SpanTotal>& totals);
 
 }  // namespace vgbl::obs

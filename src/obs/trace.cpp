@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 
@@ -12,6 +14,9 @@ struct TraceLog::Ring {
   size_t next VGBL_GUARDED_BY(mutex) = 0;
   bool wrapped VGBL_GUARDED_BY(mutex) = false;
   u64 dropped VGBL_GUARDED_BY(mutex) = 0;  // see TraceLog::dropped()
+  /// One entry per distinct name pointer; a handful of names per thread,
+  /// so a linear scan beats hashing.
+  std::vector<SpanTotal> totals VGBL_GUARDED_BY(mutex);
   u32 thread_index = 0;  // immutable after construction
   std::atomic<bool> in_use{false};
 };
@@ -74,6 +79,15 @@ void TraceLog::record(TraceEvent event) {
   Ring& ring = ring_for_this_thread();
   event.thread_index = ring.thread_index;
   MutexLock lock(ring.mutex);
+  auto total = std::find_if(
+      ring.totals.begin(), ring.totals.end(),
+      [&](const SpanTotal& t) { return t.name == event.name; });
+  if (total == ring.totals.end()) {
+    total = ring.totals.insert(ring.totals.end(), SpanTotal{event.name});
+  }
+  ++total->count;
+  total->wall_ms += event.wall_ms;
+  total->sim_ms += to_millis(event.sim_end - event.sim_start);
   if (ring.events.size() < kRingCapacity) {
     ring.events.push_back(event);
   } else {
@@ -102,6 +116,31 @@ std::vector<TraceEvent> TraceLog::snapshot() const {
   return out;
 }
 
+std::vector<SpanTotal> TraceLog::totals() const {
+  std::vector<SpanTotal> out;
+  MutexLock lock(rings_mutex_);
+  for (const auto& ring : rings_) {
+    MutexLock ring_lock(ring->mutex);
+    for (const SpanTotal& t : ring->totals) {
+      // Equal names may sit at different addresses (one literal per TU).
+      auto it = std::find_if(out.begin(), out.end(), [&](const SpanTotal& o) {
+        return std::strcmp(o.name, t.name) == 0;
+      });
+      if (it == out.end()) {
+        out.push_back(t);
+      } else {
+        it->count += t.count;
+        it->wall_ms += t.wall_ms;
+        it->sim_ms += t.sim_ms;
+      }
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const SpanTotal& a, const SpanTotal& b) {
+    return std::strcmp(a.name, b.name) < 0;
+  });
+  return out;
+}
+
 void TraceLog::clear() {
   MutexLock lock(rings_mutex_);
   for (const auto& ring : rings_) {
@@ -110,6 +149,7 @@ void TraceLog::clear() {
     ring->next = 0;
     ring->wrapped = false;
     ring->dropped = 0;
+    ring->totals.clear();
   }
 }
 

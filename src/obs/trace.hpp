@@ -3,7 +3,8 @@
 // the finished span lands in a per-thread ring buffer, so memory stays
 // bounded (kRingCapacity events per thread, oldest overwritten and
 // counted in dropped()) and a span's hot-path cost is one uncontended
-// mutex lock plus a slot write.
+// mutex lock plus a slot write. Each ring also keeps running per-name
+// totals, so a summary still counts spans whose events were overwritten.
 // Rings are recycled when their thread exits, so long-lived processes that
 // churn thread pools stay bounded by the *peak concurrent* thread count.
 //
@@ -33,6 +34,15 @@ struct TraceEvent {
   u32 thread_index = 0;     ///< per-ring index, stable for a thread's life
 };
 
+/// Every span recorded under one name since the last TraceLog::clear(),
+/// including those no longer in a ring.
+struct SpanTotal {
+  const char* name = "";
+  u64 count = 0;
+  f64 wall_ms = 0;  ///< summed wall durations
+  f64 sim_ms = 0;   ///< summed sim-clock durations
+};
+
 class TraceLog {
  public:
   static constexpr size_t kRingCapacity = 4096;
@@ -51,8 +61,14 @@ class TraceLog {
   [[nodiscard]] std::vector<TraceEvent> snapshot() const
       VGBL_EXCLUDES(rings_mutex_);
 
-  /// Drops all recorded events and zeroes dropped() (rings stay allocated
-  /// for their threads).
+  /// Per-name totals over all rings, sorted by name. Unlike snapshot(),
+  /// they count every span recorded since the last clear(), overwritten
+  /// or not; a recycled ring's totals are kept too.
+  [[nodiscard]] std::vector<SpanTotal> totals() const
+      VGBL_EXCLUDES(rings_mutex_);
+
+  /// Drops all recorded events and zeroes dropped() and totals() (rings
+  /// stay allocated for their threads).
   void clear() VGBL_EXCLUDES(rings_mutex_);
 
   /// Events recorded since the last clear() that snapshot() can no longer

@@ -5,9 +5,7 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "util/sim_clock.hpp"
 #include "util/types.hpp"
@@ -21,35 +19,35 @@ struct WebResource {
   MicroTime fetch_latency = milliseconds(120);
 };
 
+/// A read-only page collection. The built-in pages are built once per
+/// process and shared by every session; each session keeps only its own
+/// access log (GameSession::resource_log).
 class ResourceCatalog {
  public:
   void add(WebResource resource) {
     resources_[resource.url] = std::move(resource);
   }
 
+  /// The page at `url`, or null for unknown urls (a 404, in effect).
   [[nodiscard]] const WebResource* find(const std::string& url) const {
     auto it = resources_.find(url);
     return it == resources_.end() ? nullptr : &it->second;
   }
 
-  /// "Fetches" a resource: records the access and returns the resource or
-  /// nullopt for unknown urls (a 404, in effect).
-  std::optional<WebResource> fetch(const std::string& url, MicroTime now);
-
-  struct Access {
-    std::string url;
-    MicroTime when;
-    bool found;
-  };
-  [[nodiscard]] const std::vector<Access>& access_log() const { return log_; }
-
   /// Built-in encyclopedia used by the examples (computer hardware pages
-  /// for the classroom-repair game, etc.).
-  static ResourceCatalog with_default_pages();
+  /// for the classroom-repair game, etc.). Built on first use; immutable
+  /// and safe to read from any thread.
+  static const ResourceCatalog& default_pages();
 
  private:
   std::map<std::string, WebResource> resources_;
-  std::vector<Access> log_;
+};
+
+/// One OpenUrl "fetch" as a session's access log records it.
+struct ResourceAccess {
+  std::string url;
+  MicroTime when;
+  bool found;
 };
 
 }  // namespace vgbl

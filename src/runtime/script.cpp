@@ -165,7 +165,7 @@ class ExplorerBot {
     //    object once you heard the hint") are retried after state changes.
     if (examine_) {
       for (const auto* o : objects) {
-        if (mark("ex:" + key(o), sig)) {
+        if (mark({Tried::kExamine, o->id.value, 0, sig})) {
           (void)session_.examine(canvas_center(o));
           return true;
         }
@@ -174,7 +174,7 @@ class ExplorerBot {
     // 2. Collect collectables.
     for (const auto* o : objects) {
       if ((o->kind == ObjectKind::kItem || o->draggable) &&
-          mark("take:" + key(o), sig)) {
+          mark({Tried::kTake, o->id.value, 0, sig})) {
         if (o->draggable) {
           (void)session_.drag(canvas_center(o),
                               session_.ui().layout().inventory_window.center());
@@ -187,7 +187,7 @@ class ExplorerBot {
     // 3. Talk / click non-navigation objects (state-dependent retry).
     for (const auto* o : objects) {
       if (o->kind == ObjectKind::kButton) continue;
-      if (mark("click:" + key(o), sig)) {
+      if (mark({Tried::kClick, o->id.value, 0, sig})) {
         (void)session_.click(canvas_center(o));
         return true;
       }
@@ -195,8 +195,7 @@ class ExplorerBot {
     // 4. Use each held item on each object.
     for (const auto& slot : session_.inventory().slots()) {
       for (const auto* o : objects) {
-        if (mark("use:" + std::to_string(slot.item.value) + ":" + key(o),
-                 sig)) {
+        if (mark({Tried::kUse, slot.item.value, o->id.value, sig})) {
           (void)session_.use_item_on(slot.item, canvas_center(o));
           return true;
         }
@@ -207,9 +206,8 @@ class ExplorerBot {
     for (size_t i = 0; i < slots.size(); ++i) {
       for (size_t j = i; j < slots.size(); ++j) {
         if (i == j && slots[i].count < 2) continue;
-        const std::string k = "mix:" + std::to_string(slots[i].item.value) +
-                              ":" + std::to_string(slots[j].item.value);
-        if (mark(k, sig)) {
+        if (mark({Tried::kCombine, slots[i].item.value, slots[j].item.value,
+                  sig})) {
           (void)session_.combine_items(slots[i].item, slots[j].item);
           return true;
         }
@@ -236,22 +234,34 @@ class ExplorerBot {
   }
 
  private:
-  static std::string key(const InteractiveObject* o) {
-    return std::to_string(o->id.value);
-  }
+  /// One attempted action: what was done, to which object/item ids (`a` is
+  /// the object, or the held item for use/combine; `b` the object used on
+  /// or the second item, else 0), under which state signature.
+  struct Tried {
+    enum Op : u8 { kExamine, kTake, kClick, kUse, kCombine };
+    Op op;
+    u32 a;
+    u32 b;
+    u64 sig;
+    bool operator==(const Tried&) const = default;
+  };
+  struct TriedHash {
+    size_t operator()(const Tried& t) const noexcept {
+      u64 h = t.sig ^ (static_cast<u64>(t.op) << 56);
+      h ^= (static_cast<u64>(t.a) << 32 | t.b) * 0x9E3779B97F4A7C15ULL;
+      return static_cast<size_t>(h ^ (h >> 29));
+    }
+  };
 
   /// Returns true (and records the attempt) when `action` has not been
-  /// tried under state signature `sig` yet.
-  bool mark(const std::string& action, u64 sig) {
-    const std::string k = action + "@" + std::to_string(sig);
-    return tried_.insert(k).second;
-  }
+  /// tried under its state signature yet.
+  bool mark(const Tried& action) { return tried_.insert(action).second; }
 
   GameSession& session_;
   SimClock& clock_;
   Rng rng_;
   bool examine_;
-  std::unordered_set<std::string> tried_;
+  std::unordered_set<Tried, TriedHash> tried_;
   std::unordered_set<std::string> dialogue_tried_;
   std::unordered_map<u32, int> button_clicks_;
 };

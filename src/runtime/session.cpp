@@ -1,6 +1,7 @@
 #include "runtime/session.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace vgbl {
 
@@ -28,7 +29,6 @@ GameSession::GameSession(std::shared_ptr<const GameBundle> bundle,
     : bundle_(std::move(bundle)),
       clock_(clock),
       options_(options),
-      rule_book_(bundle_->rules, options.guard_engine),
       player_(bundle_->video, options.decode_threads),
       ui_(UiLayout::standard(
           {bundle_->video->width(), bundle_->video->height()})),
@@ -119,8 +119,21 @@ std::optional<Frame> GameSession::current_video_frame() {
   return player_.current_frame(clock_->now());
 }
 
-void GameSession::log(std::string text) {
-  log_.push_back({clock_->now(), std::move(text)});
+void GameSession::log(std::string_view text) { log_at(clock_->now(), text); }
+
+void GameSession::log_at(MicroTime when, std::string_view text) {
+  log_entries_.push_back({when, static_cast<u32>(log_text_.size()),
+                          static_cast<u32>(text.size())});
+  log_text_.append(text);
+}
+
+std::vector<SessionEvent> GameSession::event_log() const {
+  std::vector<SessionEvent> out;
+  out.reserve(log_entries_.size());
+  for (const LogEntry& e : log_entries_) {
+    out.push_back({e.when, log_text_.substr(e.offset, e.length)});
+  }
+  return out;
 }
 
 // --- Rewards -----------------------------------------------------------------------
@@ -263,7 +276,7 @@ void GameSession::enter_scenario(ScenarioId id) {
 
 void GameSession::arm_timers() {
   timers_.clear();
-  for (const EventRule* r : rule_book_.timers_for(current_)) {
+  for (const EventRule* r : rule_book().timers_for(current_)) {
     if (r->once && disarmed_.count(r->id.value)) continue;
     timers_.push_back({r->id, scenario_entered_at_ + r->trigger.delay});
   }
@@ -272,7 +285,7 @@ void GameSession::arm_timers() {
 void GameSession::dispatch(const TriggerEvent& event) {
   if (game_over_) return;
   StateView view(this);
-  const auto fired = rule_book_.match(event, view, disarmed_);
+  const auto fired = rule_book().match(event, view, disarmed_);
   bool scenario_ended = false;
   for (const EventRule* rule : fired) {
     if (scenario_ended) break;
@@ -341,7 +354,8 @@ bool GameSession::apply_action(const Action& action, const EventRule* source) {
       log("image popup: " + action.text);
       break;
     case ActionType::kOpenUrl: {
-      auto page = resources_.fetch(action.text, now);
+      const WebResource* page = resources().find(action.text);
+      resource_log_.push_back({action.text, now, page != nullptr});
       if (page) {
         ui_.show_message("[" + page->title + "] " + page->summary, now,
                          seconds(8));
@@ -604,7 +618,7 @@ Status GameSession::combine_items(ItemId a, ItemId b) {
   ev.scenario = current_;
   ev.when = clock_->now();
   StateView view(this);
-  const auto fired = rule_book_.match(ev, view, disarmed_);
+  const auto fired = rule_book().match(ev, view, disarmed_);
   if (!fired.empty()) {
     dispatch(ev);
     drain_rewards();
@@ -816,16 +830,11 @@ void GameSession::tick() {
     ev.when = now;
     // Route through the specific rule: match() would fire all due timer
     // rules at once, which is fine, but we keep per-timer granularity.
-    const EventRule* rule = rule_book_.find(t.rule);
+    const EventRule* rule = rule_book().find(t.rule);
     if (!rule) continue;
     if (rule->once && disarmed_.count(rule->id.value)) continue;
-    StateView view(this);
     if (!trigger_matches(rule->trigger, ev)) continue;
-    if (!(rule_book_.engine() == GuardEngine::kCompiledVm
-              ? CompiledCondition(rule->condition).evaluate(view)
-              : evaluate(rule->condition, view))) {
-      continue;
-    }
+    if (!rule_book().guard_passes(*rule, StateView(this))) continue;
     log("timer rule '" + rule->name + "' fired");
     if (rule->once) disarmed_.insert(rule->id.value);
     for (const Action& action : rule->actions) {
@@ -1032,7 +1041,10 @@ SessionState GameSession::capture_state() const {
 
   s.tracker = tracker_.state();
   s.rewards = rewards_.state();
-  for (const auto& e : log_) s.log.push_back({e.when, e.text});
+  s.log.reserve(log_entries_.size());
+  for (const LogEntry& e : log_entries_) {
+    s.log.push_back({e.when, log_text_.substr(e.offset, e.length)});
+  }
   return s;
 }
 
@@ -1121,6 +1133,13 @@ Status GameSession::restore_state(const SessionState& state) {
     }
   }
 
+  // Log entries locate their text by u32 offsets into one buffer.
+  u64 log_bytes = 0;
+  for (const auto& e : state.log) log_bytes += e.text.size();
+  if (log_bytes > std::numeric_limits<u32>::max()) {
+    return corrupt_data("snapshot event log text exceeds 4 GiB");
+  }
+
   // Commit.
   inventory_ = std::move(inventory);
   ledger_ = ScoreLedger{};
@@ -1186,8 +1205,10 @@ Status GameSession::restore_state(const SessionState& state) {
                            static_cast<u32>(tracker_.decisions().size()),
                            static_cast<u32>(tracker_.visits().size()));
   }
-  log_.clear();
-  for (const auto& e : state.log) log_.push_back({e.when, e.text});
+  log_text_.clear();
+  log_entries_.clear();
+  log_entries_.reserve(state.log.size());
+  for (const auto& e : state.log) log_at(e.when, e.text);
 
   if (state.player_active) {
     if (auto st = player_.play_segment(scenario->segment, state.player_start);

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -36,7 +37,6 @@ namespace vgbl {
 enum class HitTesterKind { kLinear, kGrid };
 
 struct SessionOptions {
-  GuardEngine guard_engine = GuardEngine::kCompiledVm;
   HitTesterKind hit_tester = HitTesterKind::kGrid;
   int inventory_capacity = 12;
   /// Decode pool size for the session's playback pipeline. 0 means no
@@ -135,11 +135,21 @@ class GameSession {
   [[nodiscard]] const rewards::RewardEvaluator& rewards() const {
     return rewards_;
   }
-  [[nodiscard]] const std::vector<SessionEvent>& event_log() const {
-    return log_;
-  }
+  /// The event log, rendered from the session's one text buffer.
+  [[nodiscard]] std::vector<SessionEvent> event_log() const;
   [[nodiscard]] const GameBundle& bundle() const { return *bundle_; }
-  [[nodiscard]] ResourceCatalog& resources() { return resources_; }
+  /// The bundle's rule book, which this session dispatches through.
+  [[nodiscard]] const RuleBook& rule_book() const {
+    return bundle_->rule_book;
+  }
+  /// The pages OpenUrl actions resolve against (shared, read-only).
+  [[nodiscard]] const ResourceCatalog& resources() const {
+    return ResourceCatalog::default_pages();
+  }
+  /// Every OpenUrl lookup this session made, in order.
+  [[nodiscard]] const std::vector<ResourceAccess>& resource_log() const {
+    return resource_log_;
+  }
 
   /// Objects of the current scenario visible at the current video frame,
   /// in paint order (ascending z) — what the compositor draws.
@@ -195,7 +205,8 @@ class GameSession {
   void drain_dialogue_tags();
   void refresh_dialogue_view();
   void rebuild_hit_index() const;
-  void log(std::string text);
+  void log(std::string_view text);
+  void log_at(MicroTime when, std::string_view text);
   [[nodiscard]] bool object_effectively_visible(
       const InteractiveObject& o) const;
   [[nodiscard]] Point to_video(Point canvas) const;
@@ -204,10 +215,9 @@ class GameSession {
   const Clock* clock_;
   SessionOptions options_;
 
-  RuleBook rule_book_;
   SegmentPlayer player_;
   UiState ui_;
-  ResourceCatalog resources_ = ResourceCatalog::with_default_pages();
+  std::vector<ResourceAccess> resource_log_;
 
   ScenarioId current_;
   bool started_ = false;
@@ -266,7 +276,18 @@ class GameSession {
 
   LearningTracker tracker_;
   rewards::RewardEvaluator rewards_;
-  std::vector<SessionEvent> log_;
+
+  /// The event log: every line's text back to back in one buffer, and one
+  /// fixed-size entry per line locating it. event_log() and capture_state()
+  /// render SessionEvents from these, byte for byte what was logged.
+  /// Offsets are u32: a 150-step bot session logs about 150 lines, 4 KB.
+  struct LogEntry {
+    MicroTime when;
+    u32 offset;
+    u32 length;
+  };
+  std::string log_text_;
+  std::vector<LogEntry> log_entries_;
 
   // Hit testing (rebuilt lazily when the frame index or object set moved).
   mutable std::unique_ptr<HitTester> hit_tester_;

@@ -8,10 +8,17 @@
 // reproduce them bit for bit, so a change to gameplay, seeding, the event
 // order or the aggregation flips a fingerprint here.
 //
+// A second table pins each session's rendered event log: an FNV-1a hash
+// of every entry's `when` and text, for one storeless BotDriver run per
+// bot policy on each gen-corpus seed and each demo bundle. The classroom
+// fingerprints above never read the log, and snapshot ELOG bytes pin it
+// only for store-backed runs, so this is what keeps the log's text and
+// timing exact when its storage changes.
+//
 // Regenerating after an *intentional* behaviour change:
 //   VGBL_GOLDEN_PRINT=1 ./build/tests/classroom_golden_test
-// prints the replacement kGolden table; paste it below and say why in the
-// commit message.
+// prints the replacement kGolden and kLogGolden tables; paste them below
+// and say why in the commit message.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,11 +32,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/classroom.hpp"
 #include "core/platform.hpp"
 #include "gen/generator.hpp"
+#include "rewards/rules.hpp"
 
 namespace vgbl {
 namespace {
@@ -179,6 +188,159 @@ TEST(ClassroomGolden, StoreBackedRunMatchesItsPin) {
     return classroom_fingerprint(simulate_classroom(corpus.bundle, options));
   });
   fs::remove_all(root);
+}
+
+// --- Event-log pins -----------------------------------------------------------
+
+constexpr u64 kFnvOffset = 14695981039346656037ULL;
+
+u64 fnv1a(u64 h, std::string_view bytes) {
+  for (char c : bytes) {
+    h ^= static_cast<u8>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+u64 fnv1a_u64(u64 h, u64 v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= static_cast<u8>(v >> (8 * i));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over every entry's `when`, text length and text, in log order.
+u64 log_fingerprint(const std::vector<SessionEvent>& log) {
+  u64 h = kFnvOffset;
+  for (const SessionEvent& e : log) {
+    h = fnv1a_u64(h, static_cast<u64>(e.when));
+    h = fnv1a_u64(h, e.text.size());
+    h = fnv1a(h, e.text);
+  }
+  return h;
+}
+
+struct LogRow {
+  const char* bundle;  // "gen:<seed>" or "demo:<name>"
+  const char* policy;
+  u64 fingerprint;
+};
+
+constexpr LogRow kLogGolden[] = {
+    // clang-format off
+    {"gen:7", "explorer", 11277186542864290118ULL},
+    {"gen:7", "random", 13624657185442114619ULL},
+    {"gen:7", "speedrun", 5718280115919512021ULL},
+    {"gen:99", "explorer", 13549164501903375353ULL},
+    {"gen:99", "random", 718700866096336980ULL},
+    {"gen:99", "speedrun", 13682807727696691828ULL},
+    {"gen:1234", "explorer", 6449193694090550523ULL},
+    {"gen:1234", "random", 4662829460763881581ULL},
+    {"gen:1234", "speedrun", 1664859814534567504ULL},
+    {"gen:31337", "explorer", 16084713564423021646ULL},
+    {"gen:31337", "random", 3076309989689572477ULL},
+    {"gen:31337", "speedrun", 7849924708072019927ULL},
+    {"gen:424242", "explorer", 17008899077724260003ULL},
+    {"gen:424242", "random", 15340839118408377735ULL},
+    {"gen:424242", "speedrun", 2679791840683783241ULL},
+    {"gen:987654321", "explorer", 16842576381140156215ULL},
+    {"gen:987654321", "random", 10133559593399059806ULL},
+    {"gen:987654321", "speedrun", 1438184063679933700ULL},
+    {"gen:2718281828", "explorer", 2016020402893135240ULL},
+    {"gen:2718281828", "random", 7882519065940365937ULL},
+    {"gen:2718281828", "speedrun", 11159287047049523379ULL},
+    {"gen:18446744073709551557", "explorer", 14779011187825274200ULL},
+    {"gen:18446744073709551557", "random", 9186496482526748920ULL},
+    {"gen:18446744073709551557", "speedrun", 13577952976807837094ULL},
+    {"demo:classroom", "explorer", 10708476625850010544ULL},
+    {"demo:classroom", "random", 13346930801799477861ULL},
+    {"demo:classroom", "speedrun", 1074979641262109743ULL},
+    {"demo:treasure", "explorer", 11500695902255812989ULL},
+    {"demo:treasure", "random", 16963595695840352476ULL},
+    {"demo:treasure", "speedrun", 10654161319477230160ULL},
+    {"demo:quickstart", "explorer", 5717693037368337997ULL},
+    {"demo:quickstart", "random", 10214448137235402592ULL},
+    {"demo:quickstart", "speedrun", 856366081695944087ULL},
+    {"demo:quiz", "explorer", 5909280722845709924ULL},
+    {"demo:quiz", "random", 14618986576356742128ULL},
+    {"demo:quiz", "speedrun", 4195770498698567136ULL},
+    // clang-format on
+};
+
+struct NamedPolicy {
+  const char* name;
+  BotPolicy policy;
+};
+constexpr NamedPolicy kPolicies[] = {{"explorer", BotPolicy::kExplorer},
+                                     {"random", BotPolicy::kRandom},
+                                     {"speedrun", BotPolicy::kSpeedrun}};
+
+/// One storeless session driven by BotDriver to completion or budget, as a
+/// classroom student runs (synchronous decode, rewards inline).
+u64 bot_log_fingerprint(const std::shared_ptr<const GameBundle>& bundle,
+                        const rewards::RewardRuleSet* rules,
+                        BotPolicy policy) {
+  SimClock clock;
+  SessionOptions options;
+  options.reward_rules = rules;
+  options.decode_threads = 0;
+  GameSession session(bundle, &clock, options);
+  EXPECT_TRUE(session.start().ok());
+  BotDriver driver(session, clock, policy, /*max_steps=*/200, /*seed=*/5);
+  while (driver.run_iteration()) {
+  }
+  return log_fingerprint(session.event_log());
+}
+
+void check_log_pins(const std::string& bundle_key,
+                    const std::shared_ptr<const GameBundle>& bundle,
+                    const rewards::RewardRuleSet* rules) {
+  const bool print = std::getenv("VGBL_GOLDEN_PRINT") != nullptr;
+  for (const NamedPolicy& p : kPolicies) {
+    const u64 got = bot_log_fingerprint(bundle, rules, p.policy);
+    if (print) {
+      std::printf("    {\"%s\", \"%s\", %lluULL},\n", bundle_key.c_str(),
+                  p.name, static_cast<unsigned long long>(got));
+      continue;
+    }
+    const LogRow* pin = std::find_if(
+        std::begin(kLogGolden), std::end(kLogGolden), [&](const LogRow& row) {
+          return row.bundle == bundle_key &&
+                 std::string_view(row.policy) == p.name;
+        });
+    ASSERT_NE(pin, std::end(kLogGolden))
+        << "no event-log pin for " << bundle_key << " " << p.name
+        << " — regenerate with VGBL_GOLDEN_PRINT=1";
+    EXPECT_EQ(got, pin->fingerprint)
+        << "event log changed for " << bundle_key << ", " << p.name;
+  }
+}
+
+TEST(ClassroomGolden, BotEventLogsMatchTheirPins) {
+  for (u64 seed : corpus_seeds()) {
+    const CorpusCourse corpus = load_course(seed);
+    if (!corpus.bundle) continue;  // load already failed the test
+    check_log_pins("gen:" + std::to_string(seed), corpus.bundle,
+                   &corpus.course.reward_rules);
+  }
+  struct Demo {
+    const char* name;
+    Result<Project> (*build)(u64);
+    u64 seed;
+  };
+  const Demo demos[] = {{"classroom", build_classroom_repair_project, 42},
+                        {"treasure", build_treasure_hunt_project, 1337},
+                        {"quickstart", build_quickstart_project, 7},
+                        {"quiz", build_science_quiz_project, 77}};
+  for (const Demo& d : demos) {
+    auto project = d.build(d.seed);
+    ASSERT_TRUE(project.ok()) << d.name;
+    auto bundle = publish(project.value());
+    ASSERT_TRUE(bundle.ok()) << d.name;
+    check_log_pins(std::string("demo:") + d.name, bundle.value(),
+                   &rewards::RewardRuleSet::standard());
+  }
 }
 
 }  // namespace

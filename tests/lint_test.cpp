@@ -87,7 +87,8 @@ TEST(LintConfig, RepoRulesParse) {
   for (const char* expected :
        {"determinism-wallclock", "determinism-random", "determinism-sleep",
         "no-naked-new", "gen-generator-determinism",
-        "replay-state-unordered", "durable-file-io", "wallclock-choke-point",
+        "replay-state-unordered", "durable-file-io", "guard-compiled-once",
+        "wallclock-choke-point",
         "obs-guarded-metric", "include-hygiene", "banned-pattern",
         "determinism-taint", "lock-order-cycle", "nodiscard-result"}) {
     EXPECT_TRUE(std::count(ids.begin(), ids.end(), expected) == 1)
@@ -135,6 +136,14 @@ TEST(LintFixtures, WallclockChokePointFires) {
   // steady_clock, system_clock, high_resolution_clock, clock_gettime,
   // gettimeofday.
   EXPECT_EQ(findings.size(), 5u);
+}
+
+TEST(LintFixtures, GuardCompiledOnceFires) {
+  const auto findings =
+      lint_file("src/runtime/guard_compiled_bad.cpp",
+                fixture("guard_compiled_bad.cpp"), repo_rules());
+  expect_only(findings, "guard-compiled-once");
+  EXPECT_EQ(findings.size(), 2u);  // CompiledCondition + compile_condition
 }
 
 TEST(LintFixtures, RandomBadFires) {

@@ -4,6 +4,8 @@
 // with sim-clock stamps, and ring-buffer bounding.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -296,6 +298,48 @@ TEST(ObsTrace, RingOverwritesOldestAndStaysBounded) {
   EXPECT_EQ(obs::TraceLog::global().dropped(), 100u);  // and said so
   obs::TraceLog::global().clear();
   EXPECT_EQ(obs::TraceLog::global().dropped(), 0u);
+}
+
+TEST(ObsTrace, SummaryKeepsSpansTheRingOverwrote) {
+  // `vgbl classroom --stream --metrics-out`: the classroom's one sim.run
+  // span is recorded first, then the stream replay floods the same
+  // thread's ring with segment fetches. The summary must keep both rows,
+  // with exact counts, although the ring no longer holds sim.run.
+  ScopedEnable on;
+  obs::TraceLog::global().clear();
+  obs::TraceLog::global().record(obs::TraceEvent{
+      .name = "sim.run", .sim_start = 0, .sim_end = milliseconds(40),
+      .wall_ms = 2.5});
+  for (int i = 0; i < 5000; ++i) {
+    obs::TraceLog::global().record(obs::TraceEvent{
+        .name = "stream.segment_fetch", .wall_ms = 0.5});
+  }
+  for (const auto& e : obs::TraceLog::global().snapshot()) {
+    EXPECT_NE(std::string_view(e.name), "sim.run");  // overwritten
+  }
+  const auto totals = obs::TraceLog::global().totals();
+  ASSERT_EQ(totals.size(), 2u);
+  EXPECT_STREQ(totals[0].name, "sim.run");
+  EXPECT_EQ(totals[0].count, 1u);
+  EXPECT_DOUBLE_EQ(totals[0].wall_ms, 2.5);
+  EXPECT_DOUBLE_EQ(totals[0].sim_ms, 40.0);
+  EXPECT_STREQ(totals[1].name, "stream.segment_fetch");
+  EXPECT_EQ(totals[1].count, 5000u);
+  EXPECT_DOUBLE_EQ(totals[1].wall_ms, 2500.0);
+
+  const std::string table = obs::render_trace_summary(totals);
+  const auto row = [&](const std::string& name) {
+    const size_t at = table.find("\n" + name + " ");
+    return at == std::string::npos
+               ? std::string()
+               : table.substr(at + 1, table.find('\n', at + 1) - at - 1);
+  };
+  EXPECT_NE(row("sim.run").find(" 1 "), std::string::npos) << table;
+  EXPECT_NE(row("stream.segment_fetch").find(" 5000 "), std::string::npos)
+      << table;
+
+  obs::TraceLog::global().clear();
+  EXPECT_TRUE(obs::TraceLog::global().totals().empty());
 }
 
 TEST(ObsTimer, ObservesOneSampleWhenEnabled) {

@@ -382,8 +382,30 @@ TEST(SessionRulesTest, OpenUrlGoesThroughCatalog) {
   ASSERT_TRUE(session.ui().message().has_value());
   EXPECT_NE(session.ui().message()->text.find("Power supply"),
             std::string::npos);
-  ASSERT_EQ(session.resources().access_log().size(), 1u);
-  EXPECT_TRUE(session.resources().access_log()[0].found);
+  ASSERT_EQ(session.resource_log().size(), 1u);
+  EXPECT_TRUE(session.resource_log()[0].found);
+}
+
+TEST(SessionSharingTest, SessionsUseTheBundleRuleBookAndSharedPages) {
+  // A copy of the bundle whose rule list is emptied after load: a session
+  // that built its own book from `rules` would fire nothing, so the PSU
+  // INFO rule firing proves dispatch reads the bundle's compiled book.
+  auto bundle = std::make_shared<GameBundle>(*classroom_bundle());
+  bundle->rules.clear();
+  ASSERT_GT(bundle->rule_book.size(), 0u);
+  SimClock clock_a;
+  SimClock clock_b;
+  GameSession a(bundle, &clock_a);
+  GameSession b(bundle, &clock_b);
+  EXPECT_EQ(&a.rule_book(), &bundle->rule_book);
+  EXPECT_EQ(&b.rule_book(), &bundle->rule_book);
+  EXPECT_EQ(&a.resources(), &ResourceCatalog::default_pages());
+  EXPECT_EQ(&b.resources(), &a.resources());
+
+  ASSERT_TRUE(a.start().ok());
+  ASSERT_TRUE(a.click(object_center(a, "PSU INFO")).ok());
+  ASSERT_EQ(a.resource_log().size(), 1u);  // the rule fired
+  EXPECT_TRUE(b.resource_log().empty());   // and only a logged it
 }
 
 TEST(SessionRulesTest, CombineViaTable) {
@@ -447,6 +469,56 @@ TEST(SessionTimerTest, TimerFiresAtDelay) {
   clock.advance(seconds(1));
   session.tick();
   EXPECT_TRUE(session.flag("hint_shown"));
+}
+
+TEST(SessionTimerTest, GuardedTimerFiresOnlyWhenItsGuardHolds) {
+  // Three timers in the start scenario: one arms a flag at 1 s; at 2 s one
+  // timer needs the flag and one needs it absent. Only the first two fire.
+  auto project = build_quickstart_project();
+  ASSERT_TRUE(project.ok());
+  Editor edit(&project.value());
+  const ScenarioId classroom =
+      project.value().graph.find_by_name("classroom")->id;
+  auto timer = [&](const char* name, MicroTime delay, Condition guard,
+                   const char* sets) {
+    EventRule r;
+    r.name = name;
+    r.trigger.type = TriggerType::kTimer;
+    r.trigger.scenario = classroom;
+    r.trigger.delay = delay;
+    r.condition = std::move(guard);
+    r.actions = {Action::set_flag(sets)};
+    EXPECT_TRUE(edit.add_rule(r).ok());
+  };
+  timer("arm", seconds(1), Condition::always(), "armed");
+  timer("needs armed", seconds(2), Condition::flag_set("armed"),
+        "guard_held");
+  timer("needs unarmed", seconds(2),
+        Condition::negate(Condition::flag_set("armed")), "guard_failed");
+  auto bundle = publish(project.value());
+  ASSERT_TRUE(bundle.ok());
+
+  SimClock clock;
+  GameSession session(bundle.value(), &clock);
+  ASSERT_TRUE(session.start().ok());
+  clock.advance(seconds(1));
+  session.tick();
+  EXPECT_TRUE(session.flag("armed"));
+  EXPECT_FALSE(session.flag("guard_held"));
+  clock.advance(seconds(1));
+  session.tick();
+  EXPECT_TRUE(session.flag("guard_held"));
+  EXPECT_FALSE(session.flag("guard_failed"));
+  // A timer whose guard failed is spent for this scenario entry.
+  clock.advance(seconds(5));
+  session.tick();
+  EXPECT_FALSE(session.flag("guard_failed"));
+
+  int fired = 0;
+  for (const SessionEvent& e : session.event_log()) {
+    if (e.text.starts_with("timer rule ")) ++fired;
+  }
+  EXPECT_EQ(fired, 2);
 }
 
 TEST(SessionTimerTest, SegmentEndFiresOnce) {

@@ -321,7 +321,7 @@ int write_metrics_scrape(const std::string& out) {
   }
   std::printf("wrote metrics scrape to %s (%zu counters, subsystems: %s)\n",
               out.c_str(), snap.counters.size(), subsystems.c_str());
-  const auto spans = obs::TraceLog::global().snapshot();
+  const auto spans = obs::TraceLog::global().totals();
   if (!spans.empty()) {
     std::printf("%s", obs::render_trace_summary(spans).c_str());
   }
