@@ -1,11 +1,11 @@
 // E11 — session persistence benchmark: snapshot encode/decode/restore
-// throughput and write-ahead journal append rate on the classroom-repair
+// throughput and the session log's append rate on the classroom-repair
 // game, mid-walkthrough (the state a real checkpoint would capture).
 // Emits machine-readable results to BENCH_persist.json (the shared
 // bench::JsonArtifact shape) alongside the console table. Expected shape:
-// encode/decode are tens of microseconds (the state is a few KiB),
-// journal appends are fflush-bound, and a full store checkpoint is
-// dominated by the atomic file write.
+// encode/decode are tens of microseconds (the state is a few KiB), a step
+// append is fflush-bound, and a full store checkpoint is the snapshot
+// encode plus one append of it to the store's log.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -18,6 +18,7 @@
 #include "persist/session_store.hpp"
 #include "persist/snapshot.hpp"
 #include "runtime/script.hpp"
+#include "util/framed.hpp"
 
 namespace {
 
@@ -116,21 +117,24 @@ void BM_SessionRestore(benchmark::State& state) {
   }
 }
 
-void BM_JournalAppendStep(benchmark::State& state) {
-  const std::string path = temp_path("vgbl_bench.journal");
-  auto writer = JournalWriter::create(path);
-  if (!writer.ok()) {
-    state.SkipWithError("cannot create journal");
+void BM_LogAppendStep(benchmark::State& state) {
+  // The bytes and the write + flush of one step record in a store's
+  // sessions.log, without the store's index and locks.
+  const std::string path = temp_path("vgbl_bench_sessions.log");
+  auto log = framed::LogWriter::create(path, kJournalMagic, kJournalVersion);
+  if (!log.ok()) {
+    state.SkipWithError("cannot create log");
     return;
   }
-  const ScriptStep step = ScriptStep::use_item("psu_part", "computer");
+  const Bytes payload = encode_log_payload(
+      "bench", encode_step(ScriptStep::use_item("psu_part", "computer")));
   for (auto _ : state) {
-    if (!writer.value().append_step(step).ok()) {
+    if (!log.value().append(static_cast<u8>(LogRecordKind::kStep), payload)
+             .ok()) {
       state.SkipWithError("append failed");
     }
   }
-  state.SetBytesProcessed(
-      static_cast<i64>(writer.value().bytes_written()));
+  state.SetBytesProcessed(static_cast<i64>(log.value().size()));
   std::remove(path.c_str());
 }
 
@@ -159,7 +163,7 @@ BENCHMARK(BM_CaptureState)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SessionRestore)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_JournalAppendStep)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LogAppendStep)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StoreCheckpoint)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

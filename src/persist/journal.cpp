@@ -2,33 +2,28 @@
 
 #include <utility>
 
-#include "obs/macros.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace vgbl {
-namespace {
 
-struct JournalMetrics {
-  obs::Counter& appends;
-  obs::Counter& bytes;
-  obs::Histogram& append_ms;
+Bytes encode_log_payload(std::string_view student_id,
+                         std::span<const u8> body) {
+  ByteWriter w(student_id.size() + 1 + body.size());
+  w.put_string(student_id);
+  w.put_raw(body.data(), body.size());
+  return std::move(w).take();
+}
 
-  static JournalMetrics& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static JournalMetrics m{
-        reg.counter("persist_journal_appends_total",
-                    "records appended to write-ahead journals"),
-        reg.counter("persist_journal_bytes_total",
-                    "framed bytes appended to write-ahead journals"),
-        reg.histogram("persist_journal_append_ms",
-                      obs::exponential_buckets(0.01, 2.0, 14),
-                      "wall time of one journal append (write + flush)")};
-    return m;
+Result<LogPayload> decode_log_payload(std::span<const u8> payload) {
+  ByteReader r(payload);
+  auto student = r.string();
+  if (!student.ok()) return student.error();
+  if (student.value().empty()) {
+    return corrupt_data("session log record names no student");
   }
-};
+  return LogPayload{std::move(student).value(), payload.subspan(r.position())};
+}
 
-void write_step_payload(ByteWriter& w, const ScriptStep& s) {
+Bytes encode_step(const ScriptStep& s) {
+  ByteWriter w;
   w.put_u8(static_cast<u8>(s.op));
   w.put_string(s.object_name);
   w.put_string(s.item_name);
@@ -37,10 +32,11 @@ void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   w.put_i64(s.wait_time);
   w.put_i32(s.point.x);
   w.put_i32(s.point.y);
+  return std::move(w).take();
 }
 
-[[nodiscard]] Result<ScriptStep> read_step_payload(std::span<const u8> payload) {
-  ByteReader r(payload);
+Result<ScriptStep> decode_step(std::span<const u8> body) {
+  ByteReader r(body);
   auto op = r.u8_();
   if (!op.ok()) return op.error();
   if (op.value() > static_cast<u8>(ScriptStep::Op::kClickPoint)) {
@@ -70,112 +66,6 @@ void write_step_payload(ByteWriter& w, const ScriptStep& s) {
   s.wait_time = wait_time.value();
   s.point = {px.value(), py.value()};
   return s;
-}
-
-}  // namespace
-
-// --- JournalWriter ----------------------------------------------------------
-
-Result<JournalWriter> JournalWriter::create(const std::string& path) {
-  auto log = framed::LogWriter::create(path, kJournalMagic, kJournalVersion);
-  if (!log.ok()) return log.error();
-  return JournalWriter(std::move(log).value());
-}
-
-Status JournalWriter::append_record(JournalRecord::Kind kind,
-                                    const Bytes& payload) {
-  JournalMetrics& metrics = JournalMetrics::get();
-  VGBL_SPAN("persist.journal_append");
-  VGBL_TIMER(metrics.append_ms);
-  auto framed_bytes = log_.append(static_cast<u8>(kind), payload);
-  if (!framed_bytes.ok()) return framed_bytes.error();
-  bytes_written_ += framed_bytes.value();
-  VGBL_COUNT(metrics.appends);
-  VGBL_COUNT(metrics.bytes, framed_bytes.value());
-  return {};
-}
-
-Status JournalWriter::append_step(const ScriptStep& step) {
-  ByteWriter payload;
-  write_step_payload(payload, step);
-  return append_record(JournalRecord::Kind::kStep, payload.bytes());
-}
-
-Status JournalWriter::append_barrier(u64 snapshot_sequence, u64 step_count) {
-  ByteWriter payload;
-  payload.put_varint(snapshot_sequence);
-  payload.put_varint(step_count);
-  return append_record(JournalRecord::Kind::kBarrier, payload.bytes());
-}
-
-// --- reading ----------------------------------------------------------------
-
-Result<JournalContents> parse_journal(std::span<const u8> data) {
-  auto log = framed::parse_log(data, kJournalMagic, kJournalVersion,
-                               "VGSJ journal");
-  if (!log.ok()) return log.error();
-  JournalContents out;
-  out.valid_bytes = log.value().valid_bytes;
-  out.torn_tail = log.value().torn_tail;
-  for (const framed::Record& rec : log.value().records) {
-    JournalRecord record;
-    if (rec.kind == static_cast<u8>(JournalRecord::Kind::kStep)) {
-      auto step = read_step_payload(rec.payload);
-      if (!step.ok()) {
-        return corrupt_data("journal step record at byte " +
-                            std::to_string(rec.offset) + ": " +
-                            step.error().message);
-      }
-      record.kind = JournalRecord::Kind::kStep;
-      record.step = std::move(step).value();
-    } else if (rec.kind == static_cast<u8>(JournalRecord::Kind::kBarrier)) {
-      ByteReader pr(rec.payload);
-      auto sequence = pr.varint();
-      auto steps = pr.varint();
-      if (!sequence.ok() || !steps.ok()) {
-        return corrupt_data("journal barrier record at byte " +
-                            std::to_string(rec.offset) + " is malformed");
-      }
-      record.kind = JournalRecord::Kind::kBarrier;
-      record.barrier_sequence = sequence.value();
-      record.barrier_step_count = steps.value();
-    } else {
-      return corrupt_data("journal record at byte " +
-                          std::to_string(rec.offset) + " has unknown kind " +
-                          std::to_string(rec.kind));
-    }
-    out.records.push_back(std::move(record));
-  }
-  return out;
-}
-
-Result<JournalContents> read_journal_file(const std::string& path) {
-  auto data = read_binary_file(path);
-  if (!data.ok()) return data.error();
-  return parse_journal(data.value());
-}
-
-std::vector<ScriptStep> steps_after_barrier(const JournalContents& journal,
-                                            u64 snapshot_sequence) {
-  // Find the last matching barrier; steps before it (or with no matching
-  // barrier at all) are already folded into the snapshot.
-  std::ptrdiff_t barrier = -1;
-  for (size_t i = 0; i < journal.records.size(); ++i) {
-    const auto& rec = journal.records[i];
-    if (rec.kind == JournalRecord::Kind::kBarrier &&
-        rec.barrier_sequence == snapshot_sequence) {
-      barrier = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  std::vector<ScriptStep> steps;
-  if (barrier < 0) return steps;
-  for (size_t i = static_cast<size_t>(barrier) + 1;
-       i < journal.records.size(); ++i) {
-    if (journal.records[i].kind == JournalRecord::Kind::kStep) {
-      steps.push_back(journal.records[i].step);
-    }
-  }
-  return steps;
 }
 
 }  // namespace vgbl

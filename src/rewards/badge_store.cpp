@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <utility>
 
 #include "obs/macros.hpp"
@@ -40,7 +41,7 @@ struct StoreMetrics {
   }
 };
 
-enum class RecordKind : u8 { kGrant = 1, kBarrier = 2 };
+enum class RecordKind : u8 { kGrant = 1, kBarrier = 2, kCommit = 3 };
 
 void write_grant_payload(ByteWriter& w, const std::string& student_id,
                          const BadgeGrant& grant) {
@@ -75,13 +76,22 @@ struct JournalGrant {
   return out;
 }
 
-/// Decodes every record of a parsed badge journal and returns the grants
-/// to replay on top of snapshot `sequence`: those after the last barrier
-/// that matches it, or every grant when none does (the journal predates
-/// the snapshot's compaction, or the store has no snapshot yet).
-[[nodiscard]] Result<std::vector<JournalGrant>> grants_to_replay(
-    const framed::Log& journal, u64 sequence) {
+/// What a badge journal adds on top of the snapshot it was compacted for.
+struct JournalReplay {
   std::vector<JournalGrant> grants;
+  std::map<std::string, u64> commits;  ///< commit records per student
+};
+
+/// Decodes every record of a parsed badge journal and returns what to
+/// replay on top of snapshot `sequence`: the grants after the last barrier
+/// that matches it, or every grant when none does (the journal predates
+/// the snapshot's compaction), and the commit records after that barrier.
+/// A grant already folded into the snapshot replays as a no-op; a commit
+/// record would count twice, so none replay without a matching barrier.
+[[nodiscard]] Result<JournalReplay> journal_to_replay(
+    const framed::Log& journal, u64 sequence) {
+  JournalReplay out;
+  bool matched = false;
   for (const framed::Record& rec : journal.records) {
     if (rec.kind == static_cast<u8>(RecordKind::kGrant)) {
       auto grant = read_grant_payload(rec.payload);
@@ -90,7 +100,15 @@ struct JournalGrant {
                             std::to_string(rec.offset) + ": " +
                             grant.error().message);
       }
-      grants.push_back(std::move(grant).value());
+      out.grants.push_back(std::move(grant).value());
+    } else if (rec.kind == static_cast<u8>(RecordKind::kCommit)) {
+      ByteReader pr(rec.payload);
+      auto student = pr.string();
+      if (!student.ok()) {
+        return corrupt_data("badge journal commit at byte " +
+                            std::to_string(rec.offset) + " is malformed");
+      }
+      ++out.commits[student.value()];
     } else if (rec.kind == static_cast<u8>(RecordKind::kBarrier)) {
       ByteReader pr(rec.payload);
       auto barrier = pr.varint();
@@ -98,14 +116,19 @@ struct JournalGrant {
         return corrupt_data("badge journal barrier at byte " +
                             std::to_string(rec.offset) + " is malformed");
       }
-      if (barrier.value() == sequence) grants.clear();  // folded in
+      if (barrier.value() == sequence) {  // folded in
+        out.grants.clear();
+        out.commits.clear();
+        matched = true;
+      }
     } else {
       return corrupt_data("badge journal record at byte " +
                           std::to_string(rec.offset) + " has unknown kind " +
                           std::to_string(rec.kind));
     }
   }
-  return grants;
+  if (!matched) out.commits.clear();
+  return out;
 }
 
 Bytes encode_store_snapshot(u64 sequence,
@@ -290,11 +313,18 @@ Status BadgeStore::load() {
   auto journal = framed::parse_log(data, kBadgeJournalMagic,
                                    kBadgeFormatVersion, "VGBJ badge journal");
   if (!journal.ok()) return journal.error();
-  auto grants = grants_to_replay(journal.value(), sequence_);
-  if (!grants.ok()) return grants.error();
+  auto replay = journal_to_replay(journal.value(), sequence_);
+  if (!replay.ok()) return replay.error();
   // Per-rule dedup in apply_grant makes replaying a folded-in grant safe.
-  for (const JournalGrant& g : grants.value()) {
+  for (const JournalGrant& g : replay.value().grants) {
     (void)apply_grant(g.student_id, g.grant);
+  }
+  for (const auto& [student_id, commits] : replay.value().commits) {
+    Shard& shard = shard_for(student_id);
+    MutexLock shard_lock(shard.mutex);
+    StudentBadges& record = shard.students[student_id];
+    if (record.student_id.empty()) record.student_id = student_id;
+    record.commits += commits;
   }
   // No complete header: the journal is absent, or a crash hit between its
   // truncate and its header write. Start a fresh one at the snapshot.
@@ -356,6 +386,13 @@ Result<u32> BadgeStore::commit(const std::string& student_id,
       record.total_points += grant.points;
       record.grants.push_back(grant);
       ++fresh;
+    }
+    ByteWriter payload;
+    payload.put_string(student_id);
+    if (auto appended = journal_->append(static_cast<u8>(RecordKind::kCommit),
+                                         payload.bytes());
+        !appended.ok()) {
+      return appended.error();
     }
     record.commits += 1;
   }

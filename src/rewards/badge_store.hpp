@@ -7,22 +7,25 @@
 //   badges.snap     latest snapshot of every student record (atomic write)
 //   badges.journal  write-ahead log of grants since that snapshot
 //
-// Both files carry the util/framed header (magics "VGBS" and "VGBJ"). The
-// snapshot body is one CRC-checked blob; the journal is a framed record
-// log of grant and barrier records.
+// Both files carry the util/framed header (magics "VGBS" and "VGBJ",
+// version 2). The snapshot body is one CRC-checked blob; the journal is a
+// framed record log of grant, commit and barrier records: one grant per
+// new badge and one commit per `commit()` call, so a reopen without a
+// checkpoint restores `StudentBadges::commits` too.
 //
 // Protocol (mirrors the SessionStore WAL discipline). Every grant is
 // journaled *before* it is applied in memory, so a crash loses at most
 // the in-flight commit. A checkpoint writes the snapshot atomically, then
 // compacts the journal to a single barrier carrying the snapshot's
-// sequence. Recovery loads the snapshot and replays the grants after the
-// last matching barrier, or every grant when none matches; grants are
-// idempotent per (student, rule), so a crash between rename and
-// compaction — where every journaled grant is already folded in —
-// replays as a no-op. A torn journal tail is trimmed (crash shape); a
-// journal with no complete header (a crash between its truncate and its
-// header write) is recreated with a barrier at the snapshot's sequence;
-// a CRC failure anywhere else is kCorruptData.
+// sequence. Recovery loads the snapshot and replays the grants and commits
+// after the last matching barrier. With no matching barrier (a crash
+// between rename and compaction, where every journaled record is already
+// folded in) it replays every grant, which is a no-op because grants are
+// idempotent per (student, rule), and no commit, which would count twice.
+// A torn journal tail is trimmed (crash shape); a journal with no complete
+// header (a crash between its truncate and its header write) is recreated
+// with a barrier at the snapshot's sequence; a CRC failure anywhere else
+// is kCorruptData.
 //
 // Concurrency. Safe to share across the classroom worker pool: in-memory
 // student records live in lock-sharded maps (VGBL_GUARDED_BY, keyed by
@@ -53,7 +56,7 @@ namespace vgbl::rewards {
 
 inline constexpr u32 kBadgeSnapshotMagic = 0x53424756;  // "VGBS" LE
 inline constexpr u32 kBadgeJournalMagic = 0x4A424756;   // "VGBJ" LE
-inline constexpr u16 kBadgeFormatVersion = 1;
+inline constexpr u16 kBadgeFormatVersion = 2;
 
 /// One durable badge grant for a student.
 struct BadgeGrant {
@@ -91,7 +94,8 @@ class BadgeStore {
   /// Commits a session's unlock stream for `student_id`. Unlocks whose
   /// rule already has a grant for this student are skipped (badges are
   /// earned once, ever), so committing a resumed session's full log is
-  /// idempotent. Returns the number of *new* grants applied.
+  /// idempotent. Every call journals one commit record and counts one
+  /// more in `commits`. Returns the number of *new* grants applied.
   [[nodiscard]] Result<u32> commit(const std::string& student_id,
                                    std::span<const Unlock> unlocks)
       VGBL_EXCLUDES(journal_mutex_);

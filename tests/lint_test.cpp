@@ -478,12 +478,14 @@ TEST(LintXtuLockOrder, CrossFileCycleFires) {
   }
 }
 
-TEST(LintXtuLockOrder, JournalBeforeShardIsCleanAndObserved) {
-  // The BadgeStore-shaped fixture takes journal before shard — exactly the
-  // declared `order` fact. No cycle; and under require_facts the fact
-  // counts as observed (no staleness finding for the lock rule).
+TEST(LintXtuLockOrder, DeclaredOrdersAreCleanAndObserved) {
+  // The BadgeStore-shaped fixture takes journal before shard and the
+  // SessionStore-shaped one shard before log — exactly the declared
+  // `order` facts. No cycle; and under require_facts both facts count as
+  // observed (no staleness finding for the lock rule).
   const std::vector<SourceFile> set = {
       xtu("lock_good_store.cpp", "src/rewards/xtu_badge_store.cpp"),
+      xtu("session_log_good.cpp", "src/persist/xtu_session_store.cpp"),
   };
   EXPECT_TRUE(lint_tree(set, repo_rules()).empty());
 
@@ -510,6 +512,24 @@ TEST(LintXtuLockOrder, DeclaredOrderInversionFires) {
   for (const char* part :
        {"BadgeStore::journal_mutex_", "BadgeStore::shard.mutex",
         "declared order fact"}) {
+    EXPECT_NE(msg.find(part), std::string::npos)
+        << "missing '" << part << "' in: " << msg;
+  }
+}
+
+TEST(LintXtuLockOrder, SessionLogOrderInversionFires) {
+  // Checkpointing live sessions under the log mutex nests a student's
+  // shard inside it; the injected shard-before-log fact closes the cycle.
+  const std::vector<SourceFile> set = {
+      xtu("session_log_inversion.cpp", "src/persist/xtu_session_store.cpp"),
+  };
+  const auto findings = lint_tree(set, repo_rules());
+  expect_only(findings, "lock-order-cycle");
+  ASSERT_EQ(findings.size(), 1u);
+  const std::string& msg = findings.front().message;
+  for (const char* part :
+       {"PersistedSession::store_mutex_", "SessionStore::log_mutex_",
+        "declared order fact", "via call from"}) {
     EXPECT_NE(msg.find(part), std::string::npos)
         << "missing '" << part << "' in: " << msg;
   }

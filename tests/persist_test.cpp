@@ -1,12 +1,13 @@
 // Session persistence: snapshot round-trip equality against uninterrupted
-// runs, write-ahead journal crash recovery, corruption rejection, and the
-// crash-recoverable session store end to end.
+// runs, session-log crash recovery and compaction, corruption rejection,
+// and the crash-recoverable session store end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <thread>
 
 #include "core/classroom.hpp"
 #include "core/demo_games.hpp"
@@ -17,6 +18,7 @@
 #include "persist/snapshot.hpp"
 #include "rewards/badge_store.hpp"
 #include "rewards/evaluator.hpp"
+#include "util/fileio.hpp"
 #include "util/framed.hpp"
 
 namespace vgbl {
@@ -288,115 +290,83 @@ TEST(SnapshotTest, InspectReportsMetaAndSections) {
   EXPECT_EQ(info.value().sections[1].name, "CORE");
 }
 
-// --- journal ----------------------------------------------------------------
+// --- session log records ----------------------------------------------------
 
-TEST(JournalTest, RoundTripsStepsAndBarriers) {
-  const std::string dir = test_dir("journal_roundtrip");
-  const std::string path = dir + "/log.journal";
-  {
-    auto writer = JournalWriter::create(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append_barrier(0, 0).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("door")).ok());
-    ASSERT_TRUE(
-        writer.value().append_step(ScriptStep::use_item("key", "door")).ok());
-    ASSERT_TRUE(
-        writer.value().append_step(ScriptStep::wait(milliseconds(250))).ok());
-    ASSERT_TRUE(writer.value()
-                    .append_step(ScriptStep::click_at({12, -34}))
-                    .ok());
-    ASSERT_TRUE(writer.value().append_barrier(7, 42).ok());
+TEST(SessionLogTest, RecordPayloadsRoundTrip) {
+  const std::vector<ScriptStep> steps = {
+      ScriptStep::click("door"), ScriptStep::use_item("key", "door"),
+      ScriptStep::combine("torn_map", "lantern"),
+      ScriptStep::wait(milliseconds(250)), ScriptStep::choose(3),
+      ScriptStep::click_at({12, -34})};
+  for (const ScriptStep& step : steps) {
+    const Bytes payload = encode_log_payload("kim", encode_step(step));
+    auto split = decode_log_payload(payload);
+    ASSERT_TRUE(split.ok()) << split.error().to_string();
+    EXPECT_EQ(split.value().student_id, "kim");
+    auto decoded = decode_step(split.value().body);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+    EXPECT_EQ(decoded.value().op, step.op);
+    EXPECT_EQ(decoded.value().object_name, step.object_name);
+    EXPECT_EQ(decoded.value().item_name, step.item_name);
+    EXPECT_EQ(decoded.value().second_item_name, step.second_item_name);
+    EXPECT_EQ(decoded.value().choice, step.choice);
+    EXPECT_EQ(decoded.value().wait_time, step.wait_time);
+    EXPECT_EQ(decoded.value().point, step.point);
   }
-  auto journal = read_journal_file(path);
-  ASSERT_TRUE(journal.ok());
-  EXPECT_FALSE(journal.value().torn_tail);
-  const auto& records = journal.value().records;
-  ASSERT_EQ(records.size(), 6u);
-  EXPECT_EQ(records[0].kind, JournalRecord::Kind::kBarrier);
-  EXPECT_EQ(records[1].step.op, ScriptStep::Op::kClickObject);
-  EXPECT_EQ(records[1].step.object_name, "door");
-  EXPECT_EQ(records[2].step.op, ScriptStep::Op::kUseItemOn);
-  EXPECT_EQ(records[2].step.item_name, "key");
-  EXPECT_EQ(records[3].step.wait_time, milliseconds(250));
-  EXPECT_EQ(records[4].step.point, (Point{12, -34}));
-  EXPECT_EQ(records[5].barrier_sequence, 7u);
-  EXPECT_EQ(records[5].barrier_step_count, 42u);
+  // An open or remove record is the student id alone.
+  auto bare = decode_log_payload(encode_log_payload("lee", {}));
+  ASSERT_TRUE(bare.ok());
+  EXPECT_EQ(bare.value().student_id, "lee");
+  EXPECT_TRUE(bare.value().body.empty());
+  EXPECT_FALSE(decode_log_payload(encode_log_payload("", {})).ok());
 }
 
-TEST(JournalTest, TornTailIsTrimmedNotFatal) {
-  const std::string dir = test_dir("journal_torn");
-  const std::string path = dir + "/log.journal";
+TEST(SessionLogTest, ReadBackByOffsetChecksTheCrc) {
+  const std::string path = test_dir("log_read") + "/sessions.log";
+  std::vector<u64> offsets;
   {
-    auto writer = JournalWriter::create(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append_barrier(0, 0).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("a")).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("bb")).ok());
-  }
-  auto full = read_binary_file(path);
-  ASSERT_TRUE(full.ok());
-  const Bytes& bytes = full.value();
-
-  // Every cut yields a clean prefix. A cut inside the file header is a
-  // crash between the truncate and the header write: an empty torn log.
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    auto parsed = parse_journal(std::span(bytes.data(), cut));
-    ASSERT_TRUE(parsed.ok()) << "cut " << cut;
-    EXPECT_LE(parsed.value().records.size(), 3u);
-    EXPECT_LE(parsed.value().valid_bytes, cut);
-    if (cut < framed::kHeaderSize) {
-      EXPECT_TRUE(parsed.value().torn_tail) << "cut " << cut;
-      EXPECT_TRUE(parsed.value().records.empty()) << "cut " << cut;
-      EXPECT_EQ(parsed.value().valid_bytes, 0u) << "cut " << cut;
+    auto log = framed::LogWriter::create(path, kJournalMagic, kJournalVersion);
+    ASSERT_TRUE(log.ok());
+    for (const char* name : {"a", "bb", "ccc"}) {
+      offsets.push_back(log.value().size());
+      ASSERT_TRUE(log.value()
+                      .append(static_cast<u8>(LogRecordKind::kStep),
+                              encode_log_payload(
+                                  name, encode_step(ScriptStep::click(name))))
+                      .ok());
     }
+    // Reads and appends interleave on the one handle.
+    auto middle = log.value().read(offsets[1]);
+    ASSERT_TRUE(middle.ok()) << middle.error().to_string();
+    EXPECT_EQ(decode_log_payload(middle.value().payload).value().student_id,
+              "bb");
+    ASSERT_TRUE(log.value().append(static_cast<u8>(LogRecordKind::kOpen),
+                                   encode_log_payload("d", {})).ok());
+    EXPECT_EQ(log.value().size(), fs::file_size(path));
+    EXPECT_EQ(log.value().read(offsets[0] + 1).error().code,
+              ErrorCode::kCorruptData);
+    EXPECT_EQ(log.value().read(log.value().size()).error().code,
+              ErrorCode::kCorruptData);
   }
-
-  // Short inputs that are not a prefix of the header stay corruption.
-  for (size_t len = 1; len < framed::kHeaderSize; ++len) {
-    for (const size_t at : {size_t{0}, len - 1}) {
-      Bytes damaged(bytes.begin(), bytes.begin() + static_cast<long>(len));
-      damaged[at] ^= 0x01;
-      auto parsed = parse_journal(damaged);
-      ASSERT_FALSE(parsed.ok()) << "len " << len << " flip at " << at;
-      EXPECT_EQ(parsed.error().code, ErrorCode::kCorruptData);
-    }
-  }
-}
-
-TEST(JournalTest, CorruptedRecordIsRejectedWithTypedError) {
-  const std::string dir = test_dir("journal_corrupt");
-  const std::string path = dir + "/log.journal";
-  {
-    auto writer = JournalWriter::create(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("safe")).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("vault")).ok());
-  }
-  auto full = read_binary_file(path);
-  ASSERT_TRUE(full.ok());
-  Bytes damaged = full.value();
-  damaged[damaged.size() / 2] ^= 0xFF;  // inside a fully-present record
-  auto parsed = parse_journal(damaged);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error().code, ErrorCode::kCorruptData);
-}
-
-TEST(JournalTest, StepsAfterBarrierSelectsOnlyMatchingGeneration) {
-  const std::string dir = test_dir("journal_barrier");
-  const std::string path = dir + "/log.journal";
-  {
-    auto writer = JournalWriter::create(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append_barrier(3, 10).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("x")).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("y")).ok());
-  }
-  auto journal = read_journal_file(path);
-  ASSERT_TRUE(journal.ok());
-  EXPECT_EQ(steps_after_barrier(journal.value(), 3).size(), 2u);
-  // No barrier for sequence 4: the journal predates the snapshot, so
-  // nothing may be replayed (the steps are already inside it).
-  EXPECT_TRUE(steps_after_barrier(journal.value(), 4).empty());
+  // A flipped payload byte fails the record's CRC on the way back in, and
+  // a flipped length byte its header CRC.
+  auto bytes = read_binary_file(path);
+  ASSERT_TRUE(bytes.ok());
+  auto parsed = framed::parse_log(bytes.value(), kJournalMagic,
+                                  kJournalVersion, "VGSJ session log");
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed.value().records.size(), 4u);
+  Bytes damaged = bytes.value();
+  damaged[offsets[2] + framed::kRecordOverhead] ^= 0x01;
+  damaged[offsets[0] + 4] ^= 0x01;  // the top byte of its length
+  ASSERT_TRUE(write_binary_file_atomic(path, damaged).ok());
+  auto reopened = framed::LogWriter::reopen(path, parsed.value());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened.value().read(offsets[0]).error().code,
+            ErrorCode::kCorruptData);
+  EXPECT_TRUE(reopened.value().read(offsets[1]).ok());
+  EXPECT_EQ(reopened.value().read(offsets[2]).error().code,
+            ErrorCode::kCorruptData);
 }
 
 // --- session store ----------------------------------------------------------
@@ -470,28 +440,27 @@ TEST(SessionStoreTest, CrashBeforeCheckpointRecoversFromJournal) {
   EXPECT_TRUE(recovered.value()->session().succeeded());
 }
 
-TEST(SessionStoreTest, TruncatedJournalTailRecoversCleanPrefix) {
+TEST(SessionStoreTest, TornLogTailRecoversCleanPrefix) {
   auto bundle = classroom_bundle();
   const InputScript script = classroom_script();
-  SessionStore store({.directory = test_dir("store_torn"),
-                      .policy = {.every_steps = 0}});
+  const std::string dir = test_dir("store_torn");
   const size_t applied = 5;
   {
+    SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
     auto live = store.open_session(bundle, "pat");
     ASSERT_TRUE(live.ok());
     for (size_t i = 0; i < applied; ++i) {
       ASSERT_TRUE(live.value()->apply(script[i]).ok());
     }
+    // Tear the log's last record, as a crash mid-append would.
+    const auto size = fs::file_size(store.log_path());
+    fs::resize_file(store.log_path(), size - 2);
   }
-  // Tear the last journal record, as a crash mid-append would.
-  const std::string journal = store.journal_path("pat");
-  const auto size = fs::file_size(journal);
-  fs::resize_file(journal, size - 2);
-
+  SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
   auto recovered = store.open_session(bundle, "pat");
-  ASSERT_TRUE(recovered.ok());
+  ASSERT_TRUE(recovered.ok()) << recovered.error().to_string();
   EXPECT_EQ(recovered.value()->replayed_steps(), applied - 1);
-  // The journal-replayed prefix matches a plain run of the same steps.
+  // The log-replayed prefix matches a plain run of the same steps.
   SimClock ref_clock;
   GameSession reference(bundle, &ref_clock);
   ASSERT_TRUE(reference.start().ok());
@@ -500,53 +469,57 @@ TEST(SessionStoreTest, TruncatedJournalTailRecoversCleanPrefix) {
                     recovered.value()->session().event_log());
 }
 
-TEST(SessionStoreTest, StaleJournalAfterCheckpointIsNotDoubleApplied) {
+TEST(SessionStoreTest, TornSnapshotRecordRecoversPreviousSnapshotAndTail) {
+  // A crash in the middle of a checkpoint's append leaves the snapshot
+  // record torn. The student's previous snapshot is then its latest, and
+  // the steps logged after it replay on top.
   auto bundle = classroom_bundle();
   const InputScript script = classroom_script();
-  SessionStore store({.directory = test_dir("store_stale"),
-                      .policy = {.every_steps = 0}});
-  const std::string journal = store.journal_path("sam");
-  const std::string stale_copy = journal + ".stale";
+  const std::string dir = test_dir("store_torn_snapshot");
   size_t expected_events = 0;
   i64 expected_score = 0;
   {
+    SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
     auto live = store.open_session(bundle, "sam");
     ASSERT_TRUE(live.ok());
-    for (size_t i = 0; i < 4; ++i) {
+    for (size_t i = 0; i < 3; ++i) {
       ASSERT_TRUE(live.value()->apply(script[i]).ok());
     }
-    fs::copy_file(journal, stale_copy);  // journal before compaction
     ASSERT_TRUE(live.value()->checkpoint().ok());
+    for (size_t i = 3; i < 5; ++i) {
+      ASSERT_TRUE(live.value()->apply(script[i]).ok());
+    }
     expected_events = live.value()->session().event_log().size();
     expected_score = live.value()->session().score();
+    const auto before = fs::file_size(store.log_path());
+    ASSERT_TRUE(live.value()->checkpoint().ok());
+    const auto after = fs::file_size(store.log_path());
+    fs::resize_file(store.log_path(), before + (after - before) / 2);
   }
-  // Simulate a crash between the snapshot rename and the journal
-  // compaction: new snapshot on disk, old journal (old barrier + steps).
-  fs::rename(stale_copy, journal);
-
+  SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
   auto recovered = store.open_session(bundle, "sam");
-  ASSERT_TRUE(recovered.ok());
-  // No barrier matches the snapshot's sequence, so nothing is replayed —
-  // the journaled steps are already inside the snapshot.
-  EXPECT_EQ(recovered.value()->replayed_steps(), 0u);
-  EXPECT_EQ(recovered.value()->session().event_log().size(),
-            expected_events);
+  ASSERT_TRUE(recovered.ok()) << recovered.error().to_string();
+  EXPECT_EQ(recovered.value()->replayed_steps(), 2u);
+  EXPECT_EQ(recovered.value()->step_count(), 5u);
+  // Snapshot 1 plus its tail; the fold-in snapshot the reopen took is 2.
+  EXPECT_EQ(recovered.value()->checkpoint_sequence(), 2u);
+  EXPECT_EQ(recovered.value()->session().event_log().size(), expected_events);
   EXPECT_EQ(recovered.value()->session().score(), expected_score);
 }
 
-TEST(SessionStoreTest, JournalCutInsideHeaderAfterCheckpointReopens) {
-  // Compaction truncates the journal before it writes the new header; a
-  // crash in between leaves 0-11 bytes next to a complete snapshot. The
-  // snapshot alone is then the whole state.
+TEST(SessionStoreTest, CrashMidCompactionLeavesOldLogThatReopens) {
+  // Compaction writes sessions.log.tmp and renames it over the log; a
+  // crash before the rename leaves a partial .tmp beside the intact old
+  // log. The store reopens from the old log and keeps logging.
   auto bundle = classroom_bundle();
   const InputScript script = classroom_script();
-  for (size_t cut = 0; cut < framed::kHeaderSize; ++cut) {
-    SCOPED_TRACE("cut " + std::to_string(cut));
-    SessionStore store({.directory = test_dir("store_torn_header"),
-                        .policy = {.every_steps = 0}});
+  for (const size_t tmp_bytes : {size_t{0}, size_t{7}, framed::kHeaderSize,
+                                 size_t{100}}) {
+    SCOPED_TRACE("tmp bytes " + std::to_string(tmp_bytes));
+    const std::string dir = test_dir("store_stale_tmp");
     size_t expected_events = 0;
-    i64 expected_score = 0;
     {
+      SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
       auto live = store.open_session(bundle, "max");
       ASSERT_TRUE(live.ok());
       for (size_t i = 0; i < 4; ++i) {
@@ -554,66 +527,324 @@ TEST(SessionStoreTest, JournalCutInsideHeaderAfterCheckpointReopens) {
       }
       ASSERT_TRUE(live.value()->checkpoint().ok());
       expected_events = live.value()->session().event_log().size();
-      expected_score = live.value()->session().score();
+      auto log = read_binary_file(store.log_path());
+      ASSERT_TRUE(log.ok());
+      const size_t keep = std::min(tmp_bytes, log.value().size());
+      ASSERT_TRUE(write_binary_file_atomic(
+                      store.log_path() + ".tmp",
+                      std::span(log.value().data(), keep))
+                      .ok());
     }
-    fs::resize_file(store.journal_path("max"), cut);
-
-    auto recovered = store.open_session(bundle, "max");
-    ASSERT_TRUE(recovered.ok()) << recovered.error().to_string();
-    EXPECT_TRUE(recovered.value()->resumed());
-    EXPECT_EQ(recovered.value()->replayed_steps(), 0u);
-    EXPECT_EQ(recovered.value()->step_count(), 4u);
-    EXPECT_EQ(recovered.value()->session().event_log().size(),
-              expected_events);
-    EXPECT_EQ(recovered.value()->session().score(), expected_score);
-    // The rewritten journal takes appends that survive the next reopen.
-    ASSERT_TRUE(recovered.value()->apply(script[4]).ok());
-    recovered.value().reset();
+    {
+      SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
+      auto recovered = store.open_session(bundle, "max");
+      ASSERT_TRUE(recovered.ok()) << recovered.error().to_string();
+      EXPECT_TRUE(recovered.value()->resumed());
+      EXPECT_EQ(recovered.value()->replayed_steps(), 0u);
+      EXPECT_EQ(recovered.value()->step_count(), 4u);
+      EXPECT_EQ(recovered.value()->session().event_log().size(),
+                expected_events);
+      ASSERT_TRUE(recovered.value()->apply(script[4]).ok());
+    }
+    SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
     auto again = store.open_session(bundle, "max");
     ASSERT_TRUE(again.ok()) << again.error().to_string();
     EXPECT_EQ(again.value()->replayed_steps(), 1u);
   }
 }
 
-TEST(SessionStoreTest, AutoCheckpointPolicyCompactsJournal) {
+TEST(SessionStoreTest, LogCutInsideHeaderStartsEmpty) {
+  // A crash between the log's creation and its header write leaves a
+  // prefix of the header: an empty log, recreated by the first append.
   auto bundle = classroom_bundle();
-  const InputScript script = classroom_script();
-  SessionStore store({.directory = test_dir("store_policy"),
-                      .policy = {.every_steps = 3}});
-  auto live = store.open_session(bundle, "ada");
-  ASSERT_TRUE(live.ok());
-  for (size_t i = 0; i < 7; ++i) {
-    ASSERT_TRUE(live.value()->apply(script[i]).ok());
+  for (size_t cut = 0; cut < framed::kHeaderSize; ++cut) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    const std::string dir = test_dir("store_torn_header");
+    {
+      SessionStore store({.directory = dir});
+      ASSERT_TRUE(store.open_session(bundle, "max").ok());
+      fs::resize_file(store.log_path(), cut);
+    }
+    {
+      SessionStore store({.directory = dir});
+      EXPECT_FALSE(store.has_session("max"));
+      auto fresh = store.open_session(bundle, "max");
+      ASSERT_TRUE(fresh.ok()) << fresh.error().to_string();
+      EXPECT_FALSE(fresh.value()->resumed());
+      ASSERT_TRUE(fresh.value()->apply(classroom_script()[0]).ok());
+    }
+    SessionStore store({.directory = dir});
+    auto again = store.open_session(bundle, "max");
+    ASSERT_TRUE(again.ok()) << again.error().to_string();
+    EXPECT_EQ(again.value()->replayed_steps(), 1u);
   }
-  EXPECT_GE(live.value()->checkpoints_taken(), 2u);
-  EXPECT_EQ(live.value()->checkpoint_sequence(),
-            live.value()->checkpoints_taken());
-  // After the checkpoint at step 6, the compacted journal holds the
-  // barrier plus at most one journaled step.
-  auto journal = read_journal_file(store.journal_path("ada"));
-  ASSERT_TRUE(journal.ok());
-  EXPECT_LE(journal.value().records.size(), 2u);
 }
 
-TEST(SessionStoreTest, CorruptSnapshotIsRejectedTyped) {
+TEST(SessionStoreTest, AutoCheckpointPolicyLeavesShortTail) {
   auto bundle = classroom_bundle();
-  SessionStore store({.directory = test_dir("store_corrupt")});
+  const InputScript script = classroom_script();
+  const std::string dir = test_dir("store_policy");
   {
-    auto live = store.open_session(bundle, "eve");
+    SessionStore store({.directory = dir, .policy = {.every_steps = 3}});
+    auto live = store.open_session(bundle, "ada");
     ASSERT_TRUE(live.ok());
-    ASSERT_TRUE(live.value()->apply(classroom_script()[0]).ok());
-    ASSERT_TRUE(live.value()->checkpoint().ok());
+    for (size_t i = 0; i < 7; ++i) {
+      ASSERT_TRUE(live.value()->apply(script[i]).ok());
+    }
+    EXPECT_GE(live.value()->checkpoints_taken(), 2u);
+    EXPECT_EQ(live.value()->checkpoint_sequence(),
+              live.value()->checkpoints_taken());
   }
-  auto data = read_binary_file(store.snapshot_path("eve"));
+  // After the checkpoint at step 6, at most one step follows the last
+  // snapshot record.
+  SessionStore store({.directory = dir, .policy = {.every_steps = 3}});
+  auto reopened = store.open_session(bundle, "ada");
+  ASSERT_TRUE(reopened.ok()) << reopened.error().to_string();
+  EXPECT_LE(reopened.value()->replayed_steps(), 1u);
+  EXPECT_EQ(reopened.value()->step_count(), 7u);
+}
+
+TEST(SessionStoreTest, DamagedRecordFailsEveryStudentTyped) {
+  // One log serves the whole directory, so a record that fails its CRC
+  // fails every student in it, as the badge store's one journal does.
+  auto bundle = classroom_bundle();
+  const std::string dir = test_dir("store_corrupt");
+  {
+    SessionStore store({.directory = dir});
+    auto eve = store.open_session(bundle, "eve");
+    ASSERT_TRUE(eve.ok());
+    ASSERT_TRUE(eve.value()->apply(classroom_script()[0]).ok());
+    ASSERT_TRUE(eve.value()->checkpoint().ok());
+    auto fay = store.open_session(bundle, "fay");
+    ASSERT_TRUE(fay.ok());
+    ASSERT_TRUE(fay.value()->apply(classroom_script()[0]).ok());
+  }
+  const std::string log = (fs::path(dir) / "sessions.log").string();
+  auto data = read_binary_file(log);
   ASSERT_TRUE(data.ok());
   Bytes damaged = data.value();
-  damaged[damaged.size() / 2] ^= 0xFF;
-  ASSERT_TRUE(
-      write_binary_file_atomic(store.snapshot_path("eve"), damaged).ok());
+  damaged[damaged.size() / 2] ^= 0xFF;  // inside eve's snapshot record
+  ASSERT_TRUE(write_binary_file_atomic(log, damaged).ok());
 
-  auto opened = store.open_session(bundle, "eve");
+  SessionStore store({.directory = dir});
+  for (const char* student : {"eve", "fay", "new"}) {
+    auto opened = store.open_session(bundle, student);
+    ASSERT_FALSE(opened.ok()) << student;
+    EXPECT_EQ(opened.error().code, ErrorCode::kCorruptData) << student;
+  }
+  EXPECT_EQ(store.status().error().code, ErrorCode::kCorruptData);
+  EXPECT_FALSE(store.has_session("fay"));
+  EXPECT_EQ(store.remove_session("fay").error().code, ErrorCode::kCorruptData);
+}
+
+TEST(SessionStoreTest, DamagedLengthIsCorruptionNotATornTail) {
+  // A length bit flipped so that the first record seems to run past the
+  // end of the file must not read as a torn tail: trimming it would
+  // delete every record after it, for every student in the directory.
+  auto bundle = classroom_bundle();
+  const std::string dir = test_dir("store_damaged_length");
+  {
+    SessionStore store({.directory = dir});
+    for (const char* student : {"amy", "bob"}) {
+      auto opened = store.open_session(bundle, student);
+      ASSERT_TRUE(opened.ok());
+      ASSERT_TRUE(opened.value()->checkpoint().ok());
+    }
+  }
+  const std::string log = (fs::path(dir) / "sessions.log").string();
+  auto data = read_binary_file(log);
+  ASSERT_TRUE(data.ok());
+  Bytes damaged = data.value();
+  damaged[framed::kHeaderSize + 4] ^= 0x01;  // top byte of the length
+  ASSERT_TRUE(write_binary_file_atomic(log, damaged).ok());
+
+  SessionStore store({.directory = dir});
+  EXPECT_EQ(store.status().error().code, ErrorCode::kCorruptData);
+  EXPECT_EQ(store.latest_snapshot("bob").error().code,
+            ErrorCode::kCorruptData);
+  EXPECT_EQ(fs::file_size(log), damaged.size());  // nothing trimmed
+}
+
+TEST(SessionStoreTest, Format1DirectoryIsUnsupported) {
+  // Per-student .snap/.journal pairs are the retired format-1 layout; this
+  // build has no reader for it and says so instead of starting over.
+  auto bundle = classroom_bundle();
+  const std::string dir = test_dir("store_format1");
+  SimClock clock;
+  GameSession session(bundle, &clock);
+  ASSERT_TRUE(session.start().ok());
+  ASSERT_TRUE(write_binary_file_atomic(
+                  dir + "/kim.snap",
+                  snapshot_of(session, clock, bundle->meta.title))
+                  .ok());
+  ByteWriter journal;
+  framed::put_header(journal, kJournalMagic, 1, 0);
+  ASSERT_TRUE(
+      write_binary_file_atomic(dir + "/kim.journal", journal.bytes()).ok());
+
+  SessionStore store({.directory = dir});
+  EXPECT_EQ(store.status().error().code, ErrorCode::kUnsupported);
+  auto opened = store.open_session(bundle, "kim");
   ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.error().code, ErrorCode::kCorruptData);
+  EXPECT_EQ(opened.error().code, ErrorCode::kUnsupported);
+  EXPECT_EQ(store.latest_snapshot("kim").error().code,
+            ErrorCode::kUnsupported);
+  EXPECT_TRUE(store.list_students().empty());
+  EXPECT_FALSE(fs::exists(store.log_path()));
+
+  // A badge store's own files beside an empty session store are not
+  // format-1 session files.
+  const std::string shared = test_dir("store_beside_badges");
+  ASSERT_TRUE(rewards::BadgeStore::open({.directory = shared}).ok());
+  SessionStore beside({.directory = shared});
+  EXPECT_TRUE(beside.status().ok());
+  EXPECT_TRUE(beside.open_session(bundle, "kim").ok());
+}
+
+TEST(SessionStoreTest, LatestSnapshotIsTheLastCheckpoint) {
+  auto bundle = classroom_bundle();
+  const InputScript script = classroom_script();
+  const std::string dir = test_dir("store_latest");
+  SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
+  auto live = store.open_session(bundle, "kim");
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(store.latest_snapshot("kim").error().code, ErrorCode::kNotFound);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(live.value()->apply(script[i]).ok());
+  }
+  ASSERT_TRUE(live.value()->checkpoint().ok());
+  ASSERT_TRUE(live.value()->apply(script[4]).ok());
+  auto snap = store.latest_snapshot("kim");
+  ASSERT_TRUE(snap.ok()) << snap.error().to_string();
+  auto decoded = decode_snapshot(snap.value());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().meta.sequence, 1u);
+  EXPECT_EQ(decoded.value().meta.step_count, 4u);
+  EXPECT_EQ(decoded.value().meta.student_id, "kim");
+  EXPECT_EQ(store.latest_snapshot("nobody").error().code,
+            ErrorCode::kNotFound);
+}
+
+TEST(SessionStoreTest, CompactionKeepsLogBoundedAndResumesBitExactly) {
+  // Hundreds of checkpoints of one student: every older snapshot is dead,
+  // so the log is rewritten whenever its dead bytes pass the bound, and a
+  // resume after that reads back exactly the last snapshot and its tail.
+  auto bundle = classroom_bundle();
+  const InputScript script = classroom_script();
+  const std::string dir = test_dir("store_compaction");
+  const std::string log = (fs::path(dir) / "sessions.log").string();
+  int checkpoints = 0;
+  Bytes last_snapshot;
+  std::vector<SessionEvent> live_log;
+  u64 largest = 0;
+  int shrinks = 0;
+  {
+    SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
+    auto other = store.open_session(bundle, "zed");  // a second live student
+    ASSERT_TRUE(other.ok());
+    ASSERT_TRUE(other.value()->apply(script[0]).ok());
+    auto live = store.open_session(bundle, "kim");
+    ASSERT_TRUE(live.ok());
+    u64 previous = 0;
+    for (; shrinks < 2; ++checkpoints) {
+      ASSERT_LT(checkpoints, 20000) << "the log never compacted";
+      if (static_cast<size_t>(checkpoints) < script.size() - 1) {
+        ASSERT_TRUE(live.value()
+                        ->apply(script[static_cast<size_t>(checkpoints)])
+                        .ok());
+      }
+      ASSERT_TRUE(live.value()->checkpoint().ok())
+          << "checkpoint " << checkpoints;
+      const u64 size = fs::file_size(log);
+      if (size < previous) ++shrinks;
+      previous = size;
+      largest = std::max(largest, size);
+    }
+    ASSERT_TRUE(live.value()->apply(script.back()).ok());
+    last_snapshot = store.latest_snapshot("kim").value();
+    live_log = live.value()->session().event_log();
+  }
+  EXPECT_GT(checkpoints, 300);
+  // Dead bytes never pass the bound by more than one snapshot record.
+  EXPECT_LT(largest, kLogCompactionBytes + 4 * last_snapshot.size());
+
+  SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
+  EXPECT_EQ(store.list_students(), (std::vector<std::string>{"kim", "zed"}));
+  auto snap = store.latest_snapshot("kim");
+  ASSERT_TRUE(snap.ok()) << snap.error().to_string();
+  EXPECT_EQ(snap.value(), last_snapshot);
+  auto resumed = store.open_session(bundle, "kim");
+  ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
+  EXPECT_EQ(resumed.value()->replayed_steps(), 1u);
+  EXPECT_EQ(resumed.value()->checkpoint_sequence(),
+            static_cast<u64>(checkpoints) + 1);
+  expect_logs_equal(live_log, resumed.value()->session().event_log());
+  auto zed = store.open_session(bundle, "zed");
+  ASSERT_TRUE(zed.ok()) << zed.error().to_string();
+  EXPECT_EQ(zed.value()->replayed_steps(), 1u);
+}
+
+TEST(SessionStoreTest, ThreadsOnOwnStudentsMatchSequentialRun) {
+  // Eight threads, each driving its own students, apply and checkpoint
+  // through one store (one log, compacted along the way). Every student's
+  // latest snapshot must equal the one a sequential run writes.
+  auto bundle = classroom_bundle();
+  const InputScript script = classroom_script();
+  constexpr int kThreads = 8;
+  constexpr int kStudentsPerThread = 2;
+  constexpr int kCheckpoints = 100;
+  const auto drive_student = [&](SessionStore& store, const std::string& id) {
+    auto live = store.open_session(bundle, id);
+    if (!live.ok()) return false;
+    for (int i = 0; i < kCheckpoints; ++i) {
+      if (static_cast<size_t>(i) < script.size()) {
+        if (!live.value()->apply(script[static_cast<size_t>(i)]).ok()) {
+          return false;
+        }
+      }
+      if (!live.value()->checkpoint().ok()) return false;
+    }
+    return true;
+  };
+  const auto student = [](int t, int k) {
+    return "t" + std::to_string(t) + "-s" + std::to_string(k);
+  };
+
+  SessionStore sequential({.directory = test_dir("store_threads_seq"),
+                           .policy = {.every_steps = 4}});
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kStudentsPerThread; ++k) {
+      ASSERT_TRUE(drive_student(sequential, student(t, k)));
+    }
+  }
+  SessionStore shared({.directory = test_dir("store_threads"),
+                       .policy = {.every_steps = 4}});
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kStudentsPerThread; ++k) {
+        if (!drive_student(shared, student(t, k))) ++failures[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
+  // Megabytes of snapshots went in; only compaction keeps the log this
+  // small.
+  EXPECT_LT(fs::file_size(shared.log_path()),
+            kLogCompactionBytes + 64 * 1024);
+
+  SessionStore reopened({.directory = shared.options().directory});
+  EXPECT_EQ(reopened.list_students(), sequential.list_students());
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kStudentsPerThread; ++k) {
+      auto want = sequential.latest_snapshot(student(t, k));
+      auto got = reopened.latest_snapshot(student(t, k));
+      ASSERT_TRUE(want.ok() && got.ok()) << student(t, k);
+      EXPECT_EQ(got.value(), want.value()) << student(t, k);
+    }
+  }
 }
 
 TEST(SessionStoreTest, WrongBundleIsRejectedTyped) {
@@ -719,36 +950,136 @@ TEST(TypedErrorSweep, SessionSnapshot) {
   EXPECT_GT(counts.flips_rejected, snap.size() * 9 / 10);
 }
 
-TEST(TypedErrorSweep, SessionJournal) {
-  const std::string path = test_dir("sweep_journal") + "/log.journal";
-  {
-    auto writer = JournalWriter::create(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().append_barrier(2, 9).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::click("door")).ok());
-    ASSERT_TRUE(
-        writer.value().append_step(ScriptStep::use_item("key", "door")).ok());
-    ASSERT_TRUE(writer.value().append_step(ScriptStep::choose(1)).ok());
+/// Writes `content` as the log of the `dir` store directory, reopens the
+/// store and opens each of `students`. Returns the sessions, or the first
+/// error.
+Result<std::vector<std::unique_ptr<PersistedSession>>> open_log_copy(
+    const std::string& dir, std::span<const u8> content,
+    const std::vector<std::string>& students) {
+  EXPECT_TRUE(
+      write_binary_file_atomic(dir + "/sessions.log", content).ok());
+  SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
+  std::vector<std::unique_ptr<PersistedSession>> sessions;
+  for (const std::string& student : students) {
+    auto opened = store.open_session(classroom_bundle(), student);
+    if (!opened.ok()) return opened.error();
+    sessions.push_back(std::move(opened).value());
   }
-  auto full = read_binary_file(path);
+  return sessions;
+}
+
+TEST(TypedErrorSweep, SessionLog) {
+  // Two students share the log: amy checkpoints after two steps and logs a
+  // third; bob logs two steps and never checkpoints.
+  auto bundle = classroom_bundle();
+  const InputScript script = classroom_script();
+  const std::string dir = test_dir("sweep_log");
+  {
+    SessionStore store({.directory = dir, .policy = {.every_steps = 0}});
+    auto amy = store.open_session(bundle, "amy");
+    ASSERT_TRUE(amy.ok());
+    auto bob = store.open_session(bundle, "bob");
+    ASSERT_TRUE(bob.ok());
+    for (size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(amy.value()->apply(script[i]).ok());
+      ASSERT_TRUE(bob.value()->apply(script[i]).ok());
+    }
+    ASSERT_TRUE(amy.value()->checkpoint().ok());
+    ASSERT_TRUE(amy.value()->apply(script[2]).ok());
+  }
+  auto full = read_binary_file(dir + "/sessions.log");
   ASSERT_TRUE(full.ok());
   const Bytes& bytes = full.value();
+  // The event log of a plain run after k steps, k = 0..3.
+  std::vector<std::vector<SessionEvent>> after;
+  for (size_t k = 0; k <= 3; ++k) {
+    SimClock clock;
+    GameSession reference(bundle, &clock);
+    EXPECT_TRUE(reference.start().ok());
+    drive(reference, clock, script, 0, k);
+    after.push_back(reference.event_log());
+  }
 
-  // A journal that opens holds a clean prefix of what was written: its
-  // valid bytes are the original's and decode to at most its records.
-  const SweepCounts counts =
-      sweep_damage(bytes, [&bytes](std::span<const u8> in) {
-        auto parsed = parse_journal(in);
-        if (parsed.ok()) {
-          const size_t valid = parsed.value().valid_bytes;
-          EXPECT_TRUE(std::equal(in.begin(), in.begin() + valid,
-                                 bytes.begin()));
-          EXPECT_LE(parsed.value().records.size(), 4u);
-        }
-        return parsed;
-      });
+  // A log that opens holds a clean prefix of what was written: every
+  // student resumes exactly where a plain run of its first k logged steps
+  // stands, for some k no larger than what it logged.
+  const std::string copy = test_dir("sweep_log_copy");
+  const std::vector<std::string> students = {"amy", "bob"};
+  const SweepCounts counts = sweep_damage(bytes, [&](std::span<const u8> in) {
+    auto opened = open_log_copy(copy, in, students);
+    if (!opened.ok()) return Status(opened.error());
+    for (size_t i = 0; i < students.size(); ++i) {
+      const PersistedSession& ps = *opened.value()[i];
+      const u64 logged = i == 0 ? 3 : 2;
+      EXPECT_LE(ps.step_count(), logged) << students[i];
+      if (ps.step_count() > logged) continue;
+      const auto& events = ps.session().event_log();
+      const auto& want = after[ps.step_count()];
+      EXPECT_TRUE(events.size() == want.size() &&
+                  std::equal(events.begin(), events.end(), want.begin(),
+                             [](const SessionEvent& a, const SessionEvent& b) {
+                               return a.when == b.when && a.text == b.text;
+                             }))
+          << students[i] << " after " << ps.step_count() << " steps";
+    }
+    return Status{};
+  });
   EXPECT_EQ(counts.truncations_rejected, 0u);  // every cut is a torn tail
-  EXPECT_GT(counts.flips_rejected, bytes.size() / 2);
+  // Every byte lies in the file header or under a record's header or
+  // payload CRC, so no damaged byte opens.
+  EXPECT_EQ(counts.flips_rejected, bytes.size());
+
+  // A kind byte rewritten to another valid kind (a step read as an open,
+  // a snapshot as a step, an open as a remove...) would silently drop or
+  // reset a student's progress; the record header CRC covers the kind,
+  // so each rewrite fails typed instead.
+  auto parsed = framed::parse_log(bytes, kJournalMagic, kJournalVersion,
+                                  "VGSJ session log");
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed.value().records.size(), 8u);  // 2 opens, 5 steps, 1 snapshot
+  for (const framed::Record& rec : parsed.value().records) {
+    for (u8 kind = static_cast<u8>(LogRecordKind::kStep);
+         kind <= static_cast<u8>(LogRecordKind::kRemove); ++kind) {
+      if (kind == rec.kind) continue;
+      SCOPED_TRACE("record at byte " + std::to_string(rec.offset) +
+                   " as kind " + std::to_string(kind));
+      Bytes rewritten = bytes;
+      rewritten[rec.offset] = kind;
+      auto opened = open_log_copy(copy, rewritten, students);
+      ASSERT_FALSE(opened.ok());
+      EXPECT_EQ(opened.error().code, ErrorCode::kCorruptData);
+    }
+  }
+}
+
+TEST(SessionLogTest, ShortInputThatIsNotAHeaderPrefixIsCorrupt) {
+  // Only a prefix of the expected header is an empty torn log (a crash
+  // between the log's creation and its header write). Any other input
+  // shorter than the header is corruption, to the parser and to the store.
+  const std::string dir = test_dir("log_short");
+  {
+    SessionStore store({.directory = dir});
+    ASSERT_TRUE(store.open_session(classroom_bundle(), "kim").ok());
+  }
+  auto full = read_binary_file(dir + "/sessions.log");
+  ASSERT_TRUE(full.ok());
+  const Bytes& bytes = full.value();
+  const std::string copy = test_dir("log_short_copy");
+  for (size_t len = 1; len < framed::kHeaderSize; ++len) {
+    for (const size_t at : {size_t{0}, len - 1}) {
+      SCOPED_TRACE("len " + std::to_string(len) + " flip at " +
+                   std::to_string(at));
+      Bytes damaged(bytes.begin(), bytes.begin() + static_cast<long>(len));
+      damaged[at] ^= 0x01;
+      auto parsed = framed::parse_log(damaged, kJournalMagic, kJournalVersion,
+                                      "VGSJ session log");
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.error().code, ErrorCode::kCorruptData);
+      auto opened = open_log_copy(copy, damaged, {"kim"});
+      ASSERT_FALSE(opened.ok());
+      EXPECT_EQ(opened.error().code, ErrorCode::kCorruptData);
+    }
+  }
 }
 
 /// A badge store with two students' grants in its journal, optionally
@@ -782,6 +1113,11 @@ Result<std::vector<rewards::StudentBadges>> open_damaged_store(
   return store.value()->all();
 }
 
+template <typename T>
+ErrorCode code_of(const Result<T>& result) {
+  return result.ok() ? ErrorCode::kOk : result.error().code;
+}
+
 TEST(TypedErrorSweep, BadgeJournal) {
   const std::string fixture = badge_store_fixture("sweep_badge_journal", false);
   auto full = read_binary_file(fixture + "/badges.journal");
@@ -813,7 +1149,26 @@ TEST(TypedErrorSweep, BadgeJournal) {
     return opened;
   });
   EXPECT_EQ(counts.truncations_rejected, 0u);  // every cut is a torn tail
-  EXPECT_GT(counts.flips_rejected, bytes.size() / 2);
+  EXPECT_EQ(counts.flips_rejected, bytes.size());  // as for the session log
+
+  // Rewriting a record's kind byte to another of the journal's kinds
+  // (1 grant, 2 barrier, 3 commit) fails the record header CRC.
+  auto parsed =
+      framed::parse_log(bytes, rewards::kBadgeJournalMagic,
+                        rewards::kBadgeFormatVersion, "badge journal");
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_FALSE(parsed.value().records.empty());
+  for (const framed::Record& rec : parsed.value().records) {
+    for (u8 kind = 1; kind <= 3; ++kind) {
+      if (kind == rec.kind) continue;
+      Bytes rewritten = bytes;
+      rewritten[rec.offset] = kind;
+      EXPECT_EQ(
+          code_of(open_damaged_store(fixture, "badges.journal", rewritten)),
+          ErrorCode::kCorruptData)
+          << "record at byte " << rec.offset << " as kind " << int{kind};
+    }
+  }
 }
 
 TEST(TypedErrorSweep, BadgeSnapshot) {
@@ -828,11 +1183,6 @@ TEST(TypedErrorSweep, BadgeSnapshot) {
   });
   EXPECT_EQ(counts.truncations_rejected, bytes.size());
   EXPECT_EQ(counts.flips_rejected, bytes.size());
-}
-
-template <typename T>
-ErrorCode code_of(const Result<T>& result) {
-  return result.ok() ? ErrorCode::kOk : result.error().code;
 }
 
 TEST(TypedErrorSweep, WrongMagicAndFutureVersionAreTypedForEveryFormat) {
@@ -851,8 +1201,11 @@ TEST(TypedErrorSweep, WrongMagicAndFutureVersionAreTypedForEveryFormat) {
   const Format formats[] = {
       {"session snapshot", kSnapshotMagic, kSnapshotVersion,
        [](std::span<const u8> in) { return code_of(decode_snapshot(in)); }},
-      {"session journal", kJournalMagic, kJournalVersion,
-       [](std::span<const u8> in) { return code_of(parse_journal(in)); }},
+      {"session log", kJournalMagic, kJournalVersion,
+       [](std::span<const u8> in) {
+         return code_of(
+             open_log_copy(test_dir("sweep_versions_log"), in, {"kim"}));
+       }},
       {"badge snapshot", rewards::kBadgeSnapshotMagic,
        rewards::kBadgeFormatVersion, badge_file("badges.snap")},
       {"badge journal", rewards::kBadgeJournalMagic,

@@ -20,6 +20,7 @@
 #include "rewards/evaluator.hpp"
 #include "rewards/leaderboard.hpp"
 #include "rewards/rules.hpp"
+#include "util/fileio.hpp"
 
 namespace vgbl::rewards {
 namespace {
@@ -348,6 +349,50 @@ TEST(BadgeStoreTest, JournalAloneRecoversAfterReopen) {
   EXPECT_EQ(reopened->student("amy").grants.size(), 2u);
 }
 
+TEST(BadgeStoreTest, CommitsSurviveReopenWithoutCheckpoint) {
+  // Every commit() call counts, even one whose unlocks were all granted
+  // before, and a reopen that replays the journal alone restores the count.
+  const std::string dir = test_dir("commit_count");
+  {
+    auto store = BadgeStore::open({.directory = dir}).value();
+    ASSERT_TRUE(store->commit("amy", sample_unlocks()).ok());
+    ASSERT_TRUE(store->commit("amy", sample_unlocks()).ok());  // duplicates
+    EXPECT_EQ(store->student("amy").commits, 2u);
+  }
+  {
+    auto reopened = BadgeStore::open({.directory = dir}).value();
+    EXPECT_EQ(reopened->student("amy").commits, 2u);
+    EXPECT_EQ(reopened->student("amy").grants.size(), 2u);
+    // After a checkpoint the count lives in the snapshot and the commits
+    // after it in the compacted journal.
+    ASSERT_TRUE(reopened->checkpoint().ok());
+    ASSERT_TRUE(reopened->commit("amy", {}).ok());
+  }
+  auto again = BadgeStore::open({.directory = dir}).value();
+  EXPECT_EQ(again->student("amy").commits, 3u);
+  EXPECT_EQ(again->student("amy").total_points, 35);
+}
+
+TEST(BadgeStoreTest, StaleJournalAfterCheckpointDoesNotRecountCommits) {
+  // A crash between the snapshot rename and the journal compaction leaves
+  // the new snapshot beside the old journal, whose records the snapshot
+  // already counts.
+  const std::string dir = test_dir("stale_commits");
+  std::string journal;
+  {
+    auto store = BadgeStore::open({.directory = dir}).value();
+    ASSERT_TRUE(store->commit("amy", sample_unlocks()).ok());
+    ASSERT_TRUE(store->commit("amy", sample_unlocks()).ok());
+    journal = store->journal_path();
+    fs::copy_file(journal, journal + ".stale");
+    ASSERT_TRUE(store->checkpoint().ok());
+  }
+  fs::rename(journal + ".stale", journal);
+  auto reopened = BadgeStore::open({.directory = dir}).value();
+  EXPECT_EQ(reopened->student("amy").commits, 2u);
+  EXPECT_EQ(reopened->student("amy").grants.size(), 2u);
+}
+
 TEST(BadgeStoreTest, CheckpointCompactsAndRecovers) {
   const std::string dir = test_dir("checkpoint");
   {
@@ -433,15 +478,20 @@ TEST(BadgeStoreTest, MidJournalCorruptionIsTypedError) {
     journal = store->journal_path();
   }
   {
-    // Flip one payload byte in the middle of the file: a CRC failure that
-    // is not a torn tail must surface as corruption, never silent loss.
-    std::fstream file(journal,
-                      std::ios::binary | std::ios::in | std::ios::out);
-    file.seekg(0, std::ios::end);
-    const auto size = static_cast<long>(file.tellg());
-    ASSERT_GT(size, 40);
-    file.seekp(size / 2);
-    file.put('\x7f');
+    // Flip one payload byte of the record in the middle of the file: a CRC
+    // failure that is not a torn tail must surface as corruption, never
+    // silent loss.
+    auto data = read_binary_file(journal);
+    ASSERT_TRUE(data.ok());
+    auto log = framed::parse_log(data.value(), kBadgeJournalMagic,
+                                 kBadgeFormatVersion, "VGBJ badge journal");
+    ASSERT_TRUE(log.ok());
+    ASSERT_GT(log.value().records.size(), 4u);
+    const framed::Record& middle =
+        log.value().records[log.value().records.size() / 2];
+    Bytes damaged = data.value();
+    damaged[middle.offset + 5 + middle.payload.size() / 2] ^= 0x7f;
+    ASSERT_TRUE(write_binary_file_atomic(journal, damaged).ok());
   }
   auto reopened = BadgeStore::open({.directory = dir});
   ASSERT_FALSE(reopened.ok());

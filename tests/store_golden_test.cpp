@@ -1,19 +1,22 @@
 // Golden byte-identity gate for the two durable stores: SessionStore
-// (session snapshots + input journals) and BadgeStore (badge snapshot +
-// grant journal). For each checked-in gen-corpus seed it drives the
-// course's completability witness through both stores and pins an FNV-1a
-// fingerprint of every file they leave on disk at each protocol stage:
+// (one session log per directory) and BadgeStore (badge snapshot + grant
+// journal). For each checked-in gen-corpus seed it drives the course's
+// completability witness through both stores and pins an FNV-1a
+// fingerprint of every file they leave on disk at each protocol stage,
+// and of the student's latest snapshot record:
 //
-//   ckpt.*        a session checkpointed every 5 steps: snapshot + journal
-//   wal.journal   a journal-only session (no checkpoint ever taken)
-//   wal.resumed.* that session reopened: the folded snapshot and the
-//                 compacted journal
+//   ckpt.*        a session checkpointed every 5 steps: its last snapshot
+//                 record and the log
+//   wal.log       a log-only session (no checkpoint ever taken)
+//   wal.resumed.* that session reopened: the snapshot record the reopen
+//                 folded the replayed steps into, and the log after it
 //   badges.*      a badge store after commits; after a checkpoint and more
 //                 commits; after a reopen and a second checkpoint
 //
-// File headers, record framing, barriers and every payload codec feed
-// these bytes, so a refactor of the store layer must leave every pin
-// untouched.
+// File headers, record framing and every payload codec feed these bytes,
+// so a refactor of the store layer must leave every pin untouched. The
+// *.snap rows hash the snapshot bytes alone, without the record framing
+// around them, so they pin the snapshot codec by itself.
 //
 // Regenerating after an *intentional* format change:
 //   VGBL_GOLDEN_PRINT=1 ./build/tests/store_golden_test
@@ -59,10 +62,9 @@ std::vector<u64> corpus_seeds() {
   return seeds;
 }
 
-/// FNV-1a over the file size, then every byte of the file.
-u64 file_fingerprint(const std::string& path) {
-  auto data = read_binary_file(path);
-  EXPECT_TRUE(data.ok()) << path;
+/// FNV-1a over the byte count, then every byte.
+u64 bytes_fingerprint(const Result<Bytes>& data) {
+  EXPECT_TRUE(data.ok()) << (data.ok() ? "" : data.error().to_string());
   if (!data.ok()) return 0;
   u64 h = 14695981039346656037ULL;
   auto mix_byte = [&h](u8 b) {
@@ -74,6 +76,10 @@ u64 file_fingerprint(const std::string& path) {
   }
   for (u8 b : data.value()) mix_byte(b);
   return h;
+}
+
+u64 file_fingerprint(const std::string& path) {
+  return bytes_fingerprint(read_binary_file(path));
 }
 
 using Pins = std::map<std::string, u64>;
@@ -103,7 +109,7 @@ Pins capture_seed(u64 seed, const fs::path& root) {
   SessionStoreOptions options;
   options.session.reward_rules = &course.value().reward_rules;
 
-  // Periodic checkpoints: the last snapshot plus the journal tail after it.
+  // Periodic checkpoints: the last snapshot plus the log tail after it.
   std::vector<rewards::Unlock> unlocks;
   {
     options.directory = (root / "ckpt").string();
@@ -114,11 +120,11 @@ Pins capture_seed(u64 seed, const fs::path& root) {
     if (!live.ok()) return pins;
     apply_all(*live.value(), script);
     unlocks = live.value()->session().rewards().unlock_log();
-    pins["ckpt.snap"] = file_fingerprint(store.snapshot_path("kim"));
-    pins["ckpt.journal"] = file_fingerprint(store.journal_path("kim"));
+    pins["ckpt.snap"] = bytes_fingerprint(store.latest_snapshot("kim"));
+    pins["ckpt.log"] = file_fingerprint(store.log_path());
   }
 
-  // Journal only, then the reopen that folds it into a snapshot.
+  // Log only, then the reopen that folds it into a snapshot.
   {
     options.directory = (root / "wal").string();
     options.policy.every_steps = 0;
@@ -128,14 +134,14 @@ Pins capture_seed(u64 seed, const fs::path& root) {
       EXPECT_TRUE(live.ok()) << live.error().to_string();
       if (!live.ok()) return pins;
       apply_all(*live.value(), script);
-      pins["wal.journal"] = file_fingerprint(store.journal_path("lee"));
+      pins["wal.log"] = file_fingerprint(store.log_path());
     }
     auto resumed = store.open_session(bundle, "lee");
     EXPECT_TRUE(resumed.ok()) << resumed.error().to_string();
     if (!resumed.ok()) return pins;
     EXPECT_EQ(resumed.value()->replayed_steps(), script.size());
-    pins["wal.resumed.snap"] = file_fingerprint(store.snapshot_path("lee"));
-    pins["wal.resumed.journal"] = file_fingerprint(store.journal_path("lee"));
+    pins["wal.resumed.snap"] = bytes_fingerprint(store.latest_snapshot("lee"));
+    pins["wal.resumed.log"] = file_fingerprint(store.log_path());
   }
 
   // Badge store: the session's unlocks plus one seed-derived grant, so
@@ -171,8 +177,11 @@ Pins capture_seed(u64 seed, const fs::path& root) {
   return pins;
 }
 
-// Captured from the stores before their framing moved to util/framed.
-// One row per checked-in gen-corpus seed × file.
+// The *.snap rows date from before the stores' framing moved to
+// util/framed; the *.log and badges.* rows were captured when the session
+// log, the badge journal's commit records (format version 2) and the
+// record header CRC landed.
+// One row per checked-in gen-corpus seed × pin.
 struct GoldenRow {
   u64 seed;
   const char* file;
@@ -181,85 +190,85 @@ struct GoldenRow {
 
 constexpr GoldenRow kGolden[] = {
     // clang-format off
-    {7ULL, "badges.ckpt.journal", 15408270461607170183ULL},
-    {7ULL, "badges.ckpt.snap", 6894717285047932391ULL},
-    {7ULL, "badges.journal", 213844253626309680ULL},
-    {7ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {7ULL, "badges.reopen.snap", 12123705218287631452ULL},
-    {7ULL, "ckpt.journal", 2660599454766381409ULL},
+    {7ULL, "badges.ckpt.journal", 3611731533884273590ULL},
+    {7ULL, "badges.ckpt.snap", 12043316816801778162ULL},
+    {7ULL, "badges.journal", 14131073747209130161ULL},
+    {7ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {7ULL, "badges.reopen.snap", 13443384307139205317ULL},
+    {7ULL, "ckpt.log", 14898282301358890390ULL},
     {7ULL, "ckpt.snap", 2010933044964707059ULL},
-    {7ULL, "wal.journal", 4712303166265556834ULL},
-    {7ULL, "wal.resumed.journal", 16302453806108012125ULL},
+    {7ULL, "wal.log", 2050648034709620616ULL},
+    {7ULL, "wal.resumed.log", 10036217782651625561ULL},
     {7ULL, "wal.resumed.snap", 1311407563161886421ULL},
-    {99ULL, "badges.ckpt.journal", 163796395524349721ULL},
-    {99ULL, "badges.ckpt.snap", 5955493026270705041ULL},
-    {99ULL, "badges.journal", 2261457009603504221ULL},
-    {99ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {99ULL, "badges.reopen.snap", 3308745719245108912ULL},
-    {99ULL, "ckpt.journal", 9347849968236036278ULL},
+    {99ULL, "badges.ckpt.journal", 11212141586901387709ULL},
+    {99ULL, "badges.ckpt.snap", 6619855236800891212ULL},
+    {99ULL, "badges.journal", 12610005968593527454ULL},
+    {99ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {99ULL, "badges.reopen.snap", 11153968974706047689ULL},
+    {99ULL, "ckpt.log", 11891020197395619174ULL},
     {99ULL, "ckpt.snap", 18235151800963330958ULL},
-    {99ULL, "wal.journal", 1882062226828285482ULL},
-    {99ULL, "wal.resumed.journal", 3993408317229504143ULL},
+    {99ULL, "wal.log", 11910715048388428541ULL},
+    {99ULL, "wal.resumed.log", 17118343610156759607ULL},
     {99ULL, "wal.resumed.snap", 7164163446531237488ULL},
-    {1234ULL, "badges.ckpt.journal", 8110624822210394590ULL},
-    {1234ULL, "badges.ckpt.snap", 10359134490709086339ULL},
-    {1234ULL, "badges.journal", 11471776462485521825ULL},
-    {1234ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {1234ULL, "badges.reopen.snap", 4194610037242534938ULL},
-    {1234ULL, "ckpt.journal", 511048893780220363ULL},
+    {1234ULL, "badges.ckpt.journal", 11147997854578400910ULL},
+    {1234ULL, "badges.ckpt.snap", 13629352476407679412ULL},
+    {1234ULL, "badges.journal", 17424280157976151948ULL},
+    {1234ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {1234ULL, "badges.reopen.snap", 16038526220416297888ULL},
+    {1234ULL, "ckpt.log", 12655994688254039327ULL},
     {1234ULL, "ckpt.snap", 3620691249434390715ULL},
-    {1234ULL, "wal.journal", 11329808771385061552ULL},
-    {1234ULL, "wal.resumed.journal", 4383753602420387204ULL},
+    {1234ULL, "wal.log", 17651395823189384550ULL},
+    {1234ULL, "wal.resumed.log", 5246573950695421262ULL},
     {1234ULL, "wal.resumed.snap", 9220702023211751990ULL},
-    {31337ULL, "badges.ckpt.journal", 15490105940110890139ULL},
-    {31337ULL, "badges.ckpt.snap", 6197854021084166679ULL},
-    {31337ULL, "badges.journal", 11355456199148258192ULL},
-    {31337ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {31337ULL, "badges.reopen.snap", 16986353673302480410ULL},
-    {31337ULL, "ckpt.journal", 5454052873222704113ULL},
+    {31337ULL, "badges.ckpt.journal", 1145591270806228971ULL},
+    {31337ULL, "badges.ckpt.snap", 10233692728646237320ULL},
+    {31337ULL, "badges.journal", 7078373657426848210ULL},
+    {31337ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {31337ULL, "badges.reopen.snap", 34674039398545103ULL},
+    {31337ULL, "ckpt.log", 17534857505367133040ULL},
     {31337ULL, "ckpt.snap", 11102824026523275934ULL},
-    {31337ULL, "wal.journal", 18181114704489137710ULL},
-    {31337ULL, "wal.resumed.journal", 3849213382327368128ULL},
+    {31337ULL, "wal.log", 5538662578940108484ULL},
+    {31337ULL, "wal.resumed.log", 9995201041109631363ULL},
     {31337ULL, "wal.resumed.snap", 17815804274528087349ULL},
-    {424242ULL, "badges.ckpt.journal", 18251870598247980035ULL},
-    {424242ULL, "badges.ckpt.snap", 9272334058005190181ULL},
-    {424242ULL, "badges.journal", 16434021688037940418ULL},
-    {424242ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {424242ULL, "badges.reopen.snap", 7982586594298551170ULL},
-    {424242ULL, "ckpt.journal", 4900626711510484507ULL},
+    {424242ULL, "badges.ckpt.journal", 9453145001697820766ULL},
+    {424242ULL, "badges.ckpt.snap", 6476727270569776872ULL},
+    {424242ULL, "badges.journal", 11122993202687175359ULL},
+    {424242ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {424242ULL, "badges.reopen.snap", 17373258906346334042ULL},
+    {424242ULL, "ckpt.log", 1999844216094070673ULL},
     {424242ULL, "ckpt.snap", 11502503425386182233ULL},
-    {424242ULL, "wal.journal", 12622773535402907658ULL},
-    {424242ULL, "wal.resumed.journal", 5937976217356263510ULL},
+    {424242ULL, "wal.log", 4498140079173421778ULL},
+    {424242ULL, "wal.resumed.log", 12829586327745509289ULL},
     {424242ULL, "wal.resumed.snap", 916588733671081867ULL},
-    {987654321ULL, "badges.ckpt.journal", 4027529994237168162ULL},
-    {987654321ULL, "badges.ckpt.snap", 2048862221320729465ULL},
-    {987654321ULL, "badges.journal", 15106183181984111097ULL},
-    {987654321ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {987654321ULL, "badges.reopen.snap", 7999451562604576317ULL},
-    {987654321ULL, "ckpt.journal", 16304228160612773046ULL},
+    {987654321ULL, "badges.ckpt.journal", 1670978264105588221ULL},
+    {987654321ULL, "badges.ckpt.snap", 11692385885790169590ULL},
+    {987654321ULL, "badges.journal", 2715710822044641907ULL},
+    {987654321ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {987654321ULL, "badges.reopen.snap", 11948424586987691660ULL},
+    {987654321ULL, "ckpt.log", 5781046797140193390ULL},
     {987654321ULL, "ckpt.snap", 529117354510470307ULL},
-    {987654321ULL, "wal.journal", 7135392279939974756ULL},
-    {987654321ULL, "wal.resumed.journal", 589877765129190248ULL},
+    {987654321ULL, "wal.log", 3917171159613309033ULL},
+    {987654321ULL, "wal.resumed.log", 2688198328235549196ULL},
     {987654321ULL, "wal.resumed.snap", 427907573436123471ULL},
-    {2718281828ULL, "badges.ckpt.journal", 14240006985130450369ULL},
-    {2718281828ULL, "badges.ckpt.snap", 8392213841151391012ULL},
-    {2718281828ULL, "badges.journal", 6331442270143522180ULL},
-    {2718281828ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {2718281828ULL, "badges.reopen.snap", 5605873724229731147ULL},
-    {2718281828ULL, "ckpt.journal", 12403627598433197420ULL},
+    {2718281828ULL, "badges.ckpt.journal", 4489597791819599584ULL},
+    {2718281828ULL, "badges.ckpt.snap", 15407710928339546087ULL},
+    {2718281828ULL, "badges.journal", 16791463808841119461ULL},
+    {2718281828ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {2718281828ULL, "badges.reopen.snap", 12706761428335340630ULL},
+    {2718281828ULL, "ckpt.log", 17432744218959821839ULL},
     {2718281828ULL, "ckpt.snap", 17198992448802420709ULL},
-    {2718281828ULL, "wal.journal", 15872303390646156184ULL},
-    {2718281828ULL, "wal.resumed.journal", 1605968566842037331ULL},
+    {2718281828ULL, "wal.log", 11516655663555479949ULL},
+    {2718281828ULL, "wal.resumed.log", 12482767606992495897ULL},
     {2718281828ULL, "wal.resumed.snap", 11970202552719326741ULL},
-    {18446744073709551557ULL, "badges.ckpt.journal", 1930485440590425328ULL},
-    {18446744073709551557ULL, "badges.ckpt.snap", 3937251040378093312ULL},
-    {18446744073709551557ULL, "badges.journal", 4251891759231498716ULL},
-    {18446744073709551557ULL, "badges.reopen.journal", 17230961118641919779ULL},
-    {18446744073709551557ULL, "badges.reopen.snap", 2157295755377254932ULL},
-    {18446744073709551557ULL, "ckpt.journal", 14107068115720168701ULL},
+    {18446744073709551557ULL, "badges.ckpt.journal", 17110079304220577186ULL},
+    {18446744073709551557ULL, "badges.ckpt.snap", 2775344710027577027ULL},
+    {18446744073709551557ULL, "badges.journal", 5880793614572176671ULL},
+    {18446744073709551557ULL, "badges.reopen.journal", 8796930143503230641ULL},
+    {18446744073709551557ULL, "badges.reopen.snap", 17629348958944309960ULL},
+    {18446744073709551557ULL, "ckpt.log", 3260392181703331236ULL},
     {18446744073709551557ULL, "ckpt.snap", 17287328819780257787ULL},
-    {18446744073709551557ULL, "wal.journal", 6201809453220365598ULL},
-    {18446744073709551557ULL, "wal.resumed.journal", 17274897288086771831ULL},
+    {18446744073709551557ULL, "wal.log", 5706483917024832662ULL},
+    {18446744073709551557ULL, "wal.resumed.log", 8320065668954874373ULL},
     {18446744073709551557ULL, "wal.resumed.snap", 10976523325616786401ULL},
     // clang-format on
 };

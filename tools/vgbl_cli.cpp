@@ -10,7 +10,7 @@
 //   vgbl screenshot <bundle.vgblb> <out.ppm>
 //   vgbl save <bundle.vgblb> <store_dir> <student> [steps] [policy]
 //   vgbl resume <bundle.vgblb> <store_dir> <student> [max_steps] [policy]
-//   vgbl inspect-snapshot <file.snap>
+//   vgbl inspect-snapshot <store_dir> <student>
 //   vgbl classroom <bundle.vgblb> [students] [max_steps] [--threads N]
 //                  [--seed S] [--store <dir>] [--stream] [--fault <profile>]
 //                  [--metrics-out <file.json|file.prom>]
@@ -247,8 +247,7 @@ int cmd_save(const std::string& path, const std::string& dir,
           : "-",
       static_cast<long long>(ps.session().score()),
       to_seconds(ps.clock().now()));
-  std::printf("snapshot: %s (sequence %llu)\n",
-              store.snapshot_path(student).c_str(),
+  std::printf("log: %s (snapshot sequence %llu)\n", store.log_path().c_str(),
               static_cast<unsigned long long>(ps.checkpoint_sequence()));
   return 0;
 }
@@ -261,6 +260,7 @@ int cmd_resume(const std::string& path, const std::string& dir,
   auto shared = std::make_shared<GameBundle>(std::move(bundle.value()));
 
   SessionStore store({.directory = dir});
+  if (auto st = store.status(); !st.ok()) return fail(st.error());
   if (!store.has_session(student)) {
     return fail(not_found("no saved session for '" + student + "' in '" +
                           dir + "'"));
@@ -269,7 +269,7 @@ int cmd_resume(const std::string& path, const std::string& dir,
   if (!opened.ok()) return fail(opened.error());
   PersistedSession& ps = *opened.value();
   std::printf("resumed '%s': scenario '%s', score %lld, t=%.1fs"
-              " (%llu journal step(s) replayed)\n",
+              " (%llu logged step(s) replayed)\n",
               student.c_str(),
               ps.session().current_scenario_info()
                   ? ps.session().current_scenario_info()->name.c_str()
@@ -277,6 +277,7 @@ int cmd_resume(const std::string& path, const std::string& dir,
               static_cast<long long>(ps.session().score()),
               to_seconds(ps.clock().now()),
               static_cast<unsigned long long>(ps.replayed_steps()));
+  std::printf("log: %s\n", store.log_path().c_str());
 
   const BotResult result = run_bot(ps.session(), ps.clock(),
                                    parse_policy(policy_name), max_steps, 43);
@@ -521,13 +522,15 @@ int cmd_metrics(const std::string& path) {
   return 0;
 }
 
-int cmd_inspect_snapshot(const std::string& path) {
-  auto data = read_binary_file(path);
+int cmd_inspect_snapshot(const std::string& dir, const std::string& student) {
+  SessionStore store({.directory = dir});
+  auto data = store.latest_snapshot(student);
   if (!data.ok()) return fail(data.error());
   auto info = inspect_snapshot(data.value());
   if (!info.ok()) return fail(info.error());
   const SnapshotInfo& s = info.value();
-  std::printf("snapshot:  %s (%s, format v%u)\n", path.c_str(),
+  std::printf("snapshot:  latest for '%s' in %s (%s, format v%u)\n",
+              student.c_str(), store.log_path().c_str(),
               format_bytes(s.total_bytes).c_str(), s.version);
   std::printf("student:   %s\n", s.meta.student_id.c_str());
   std::printf("bundle:    %s\n", s.meta.bundle_title.c_str());
@@ -690,7 +693,7 @@ void usage() {
                "[policy]\n"
                "  resume <bundle.vgblb> <store_dir> <student> [max_steps] "
                "[policy]\n"
-               "  inspect-snapshot <file.snap>\n"
+               "  inspect-snapshot <store_dir> <student>\n"
                "  classroom <bundle.vgblb> [students] [max_steps] "
                "[--threads N] [--seed S] [--store <dir>] [--stream]\n"
                "            [--fault clean|iid2|bursty|flap|degraded|stress]\n"
@@ -741,7 +744,9 @@ int main(int argc, char** argv) {
                       argc > 5 ? std::atoi(argv[5]) : 500,
                       arg(6, "explorer"));
   }
-  if (cmd == "inspect-snapshot" && argc >= 3) return cmd_inspect_snapshot(arg(2));
+  if (cmd == "inspect-snapshot" && argc >= 4) {
+    return cmd_inspect_snapshot(arg(2), arg(3));
+  }
   if (cmd == "classroom" && argc >= 3) {
     return cmd_classroom(arg(2),
                          std::vector<std::string>(argv + 3, argv + argc));
