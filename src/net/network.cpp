@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
@@ -82,13 +83,17 @@ bool LossProcess::lost(MicroTime at, Rng& rng) {
   return lost;
 }
 
-MicroTime SimulatedNetwork::send(Packet packet, MicroTime now) {
-  const MicroTime start = std::max(now, link_busy_until_);
-  if (obs::enabled()) {
-    NetMetrics& metrics = NetMetrics::get();
-    VGBL_COUNT(metrics.packets_sent);
-    VGBL_COUNT(metrics.bytes_sent, packet.size);
-    VGBL_OBSERVE(metrics.queueing_delay_ms, to_millis(start - now));
+template <typename P>
+MicroTime Link<P>::send(P packet, MicroTime now) {
+  const MicroTime start = std::max(now, busy_until_);
+  const u32 size = packet.wire_size();
+  if constexpr (std::is_same_v<P, Packet>) {
+    if (obs::enabled()) {
+      NetMetrics& metrics = NetMetrics::get();
+      VGBL_COUNT(metrics.packets_sent);
+      VGBL_COUNT(metrics.bytes_sent, size);
+      VGBL_OBSERVE(metrics.queueing_delay_ms, to_millis(start - now));
+    }
   }
   // Serialization delay on the shared link: size / effective bandwidth
   // (degradation windows shrink the pipe mid-run).
@@ -96,58 +101,8 @@ MicroTime SimulatedNetwork::send(Packet packet, MicroTime now) {
       1, static_cast<u64>(static_cast<f64>(config_.bandwidth_bps) *
                           loss_.schedule().bandwidth_scale(start)));
   const MicroTime ser =
-      static_cast<MicroTime>(static_cast<u64>(packet.size) * 8'000'000 / bps);
-  link_busy_until_ = start + ser;
-
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet.size;
-
-  MicroTime jitter = 0;
-  if (config_.jitter > 0) {
-    jitter = static_cast<MicroTime>(rng_.below(
-        static_cast<u64>(config_.jitter)));
-  }
-  // Stamp the moment serialization actually started, not the send call:
-  // when the link was busy the packet queued until `link_busy_until_`, and
-  // `sent_at` is how that queueing delay becomes observable downstream.
-  packet.sent_at = start;
-  packet.arrives_at = link_busy_until_ + config_.base_latency + jitter;
-
-  if (loss_.lost(start, rng_)) {
-    // The sender cannot see this: the arrival time is still returned, the
-    // packet just never reaches `poll`. Only the receiver's silence (and
-    // its feedback, if any) reveals the loss.
-    ++stats_.packets_lost;
-    VGBL_COUNT(NetMetrics::get().packets_lost);
-    return packet.arrives_at;
-  }
-
-  // Keep the in-flight queue sorted by arrival; jitter can reorder tails.
-  auto it = std::upper_bound(
-      in_flight_.begin(), in_flight_.end(), packet,
-      [](const Packet& a, const Packet& b) { return a.arrives_at < b.arrives_at; });
-  in_flight_.insert(it, packet);
-  return packet.arrives_at;
-}
-
-std::vector<Packet> SimulatedNetwork::poll(MicroTime now) {
-  std::vector<Packet> out;
-  while (!in_flight_.empty() && in_flight_.front().arrives_at <= now) {
-    out.push_back(in_flight_.front());
-    in_flight_.pop_front();
-  }
-  return out;
-}
-
-MicroTime FeedbackLink::send(FeedbackPacket packet, MicroTime now) {
-  const MicroTime start = std::max(now, link_busy_until_);
-  const u32 size = packet.wire_size();
-  const u64 bps = std::max<u64>(
-      1, static_cast<u64>(static_cast<f64>(config_.bandwidth_bps) *
-                          loss_.schedule().bandwidth_scale(start)));
-  const MicroTime ser =
       static_cast<MicroTime>(static_cast<u64>(size) * 8'000'000 / bps);
-  link_busy_until_ = start + ser;
+  busy_until_ = start + ser;
 
   ++stats_.packets_sent;
   stats_.bytes_sent += size;
@@ -157,31 +112,43 @@ MicroTime FeedbackLink::send(FeedbackPacket packet, MicroTime now) {
     jitter = static_cast<MicroTime>(rng_.below(
         static_cast<u64>(config_.jitter)));
   }
+  // Stamp the moment serialization actually started, not the send call:
+  // when the link was busy the packet queued until `busy_until_`, and
+  // `sent_at` is how that queueing delay becomes observable downstream.
   packet.sent_at = start;
-  packet.arrives_at = link_busy_until_ + config_.base_latency + jitter;
+  packet.arrives_at = busy_until_ + config_.base_latency + jitter;
+  const MicroTime arrives = packet.arrives_at;
 
   if (loss_.lost(start, rng_)) {
+    // The sender cannot see this: the arrival time is still returned, the
+    // packet just never reaches `poll`. Only the receiver's silence (and
+    // its feedback, if any) reveals the loss.
     ++stats_.packets_lost;
-    return packet.arrives_at;
+    if constexpr (std::is_same_v<P, Packet>) {
+      VGBL_COUNT(NetMetrics::get().packets_lost);
+    }
+    return arrives;
   }
 
-  const MicroTime arrives = packet.arrives_at;
-  auto it = std::upper_bound(in_flight_.begin(), in_flight_.end(), packet,
-                             [](const FeedbackPacket& a,
-                                const FeedbackPacket& b) {
-                               return a.arrives_at < b.arrives_at;
-                             });
+  // Keep the in-flight queue sorted by arrival; jitter can reorder tails.
+  auto it = std::upper_bound(
+      in_flight_.begin(), in_flight_.end(), arrives,
+      [](MicroTime t, const P& p) { return t < p.arrives_at; });
   in_flight_.insert(it, std::move(packet));
   return arrives;
 }
 
-std::vector<FeedbackPacket> FeedbackLink::poll(MicroTime now) {
-  std::vector<FeedbackPacket> out;
+template <typename P>
+const std::vector<P>& Link<P>::poll(MicroTime now) {
+  arrived_.clear();
   while (!in_flight_.empty() && in_flight_.front().arrives_at <= now) {
-    out.push_back(std::move(in_flight_.front()));
+    arrived_.push_back(std::move(in_flight_.front()));
     in_flight_.pop_front();
   }
-  return out;
+  return arrived_;
 }
+
+template class Link<Packet>;
+template class Link<FeedbackPacket>;
 
 }  // namespace vgbl

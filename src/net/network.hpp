@@ -17,6 +17,7 @@
 #pragma once
 
 #include <deque>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -102,6 +103,10 @@ class LossProcess {
   bool ge_bad_ = false;
 };
 
+/// Sim time that no event reaches: the arrival of an empty link, the
+/// deadline of nothing.
+inline constexpr MicroTime kNever = std::numeric_limits<MicroTime>::max();
+
 /// One in-flight transfer unit. Payloads are modelled by size only — the
 /// receiver validates against the container, so carrying real bytes would
 /// only slow the simulation down.
@@ -116,53 +121,8 @@ struct Packet {
                              // call when the link was busy — the gap is
                              // the queueing delay)
   MicroTime arrives_at = 0;
-};
 
-class SimulatedNetwork {
- public:
-  SimulatedNetwork(NetworkConfig config, u64 seed = 7)
-      : SimulatedNetwork(config, FaultSchedule{}, seed) {}
-  SimulatedNetwork(NetworkConfig config, FaultSchedule faults, u64 seed = 7)
-      : config_(config),
-        loss_(config.loss_rate, std::move(faults)),
-        rng_(seed) {}
-
-  [[nodiscard]] const NetworkConfig& config() const { return config_; }
-  [[nodiscard]] const FaultSchedule& faults() const {
-    return loss_.schedule();
-  }
-
-  /// True when the link can start serialising another packet at `now`
-  /// (i.e. the sender is not blocked by backpressure).
-  [[nodiscard]] bool can_send(MicroTime now) const {
-    return link_busy_until_ <= now;
-  }
-  [[nodiscard]] MicroTime busy_until() const { return link_busy_until_; }
-
-  /// Enqueues a packet at `now`. Serialization occupies the shared link;
-  /// the packet arrives after latency+jitter. Returns the arrival time
-  /// unconditionally — the sender cannot observe loss. A lost packet still
-  /// consumed link time (the bytes were transmitted, just corrupted or
-  /// flapped en route); it just never comes out of `poll`.
-  MicroTime send(Packet packet, MicroTime now);
-
-  /// All packets that have arrived by `now`, in arrival order.
-  std::vector<Packet> poll(MicroTime now);
-
-  struct Stats {
-    u64 packets_sent = 0;
-    u64 packets_lost = 0;
-    u64 bytes_sent = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
- private:
-  NetworkConfig config_;
-  LossProcess loss_;
-  Rng rng_;
-  MicroTime link_busy_until_ = 0;
-  std::deque<Packet> in_flight_;  // sorted by arrival (jitter is bounded)
-  Stats stats_;
+  [[nodiscard]] u32 wire_size() const { return size; }
 };
 
 /// Client -> server control message on the reverse link: a cumulative ACK
@@ -180,26 +140,48 @@ struct FeedbackPacket {
   }
 };
 
-/// The small reverse link carrying client feedback. Same physics as the
-/// downlink — serialization on a (much smaller) shared pipe, latency,
-/// jitter, loss, and the same fault schedule shape (a flapped link is dead
-/// in both directions) — so the ARQ loop has to survive lost and delayed
-/// feedback, not just lost data.
-class FeedbackLink {
+/// One direction of the simulated network, carrying `P` (`Packet` or
+/// `FeedbackPacket`). Both directions share the physics: serialization on
+/// a shared pipe (shrunk by degradation windows), latency plus jitter, and
+/// the loss process, drawing jitter before loss from the link's own seeded
+/// Rng. Only the downlink feeds the `net_*` metrics.
+template <typename P>
+class Link {
  public:
-  FeedbackLink(NetworkConfig config, FaultSchedule faults, u64 seed)
+  Link(NetworkConfig config, u64 seed = 7)
+      : Link(config, FaultSchedule{}, seed) {}
+  Link(NetworkConfig config, FaultSchedule faults, u64 seed = 7)
       : config_(config),
         loss_(config.loss_rate, std::move(faults)),
         rng_(seed) {}
 
-  [[nodiscard]] bool can_send(MicroTime now) const {
-    return link_busy_until_ <= now;
+  [[nodiscard]] const NetworkConfig& config() const { return config_; }
+  [[nodiscard]] const FaultSchedule& faults() const {
+    return loss_.schedule();
   }
 
-  /// Same honesty contract as the downlink: returns the arrival time, the
-  /// sender cannot observe loss.
-  MicroTime send(FeedbackPacket packet, MicroTime now);
-  std::vector<FeedbackPacket> poll(MicroTime now);
+  /// True when the link can start serialising another packet at `now`
+  /// (i.e. the sender is not blocked by backpressure).
+  [[nodiscard]] bool can_send(MicroTime now) const {
+    return busy_until_ <= now;
+  }
+  /// When the packet being serialised leaves the sender.
+  [[nodiscard]] MicroTime busy_until() const { return busy_until_; }
+  /// When the next surviving packet arrives (kNever when none is in flight).
+  [[nodiscard]] MicroTime next_arrival() const {
+    return in_flight_.empty() ? kNever : in_flight_.front().arrives_at;
+  }
+
+  /// Enqueues a packet at `now`. Serialization occupies the shared link;
+  /// the packet arrives after latency+jitter. Returns the arrival time
+  /// unconditionally — the sender cannot observe loss. A lost packet still
+  /// consumed link time (the bytes were transmitted, just corrupted or
+  /// flapped en route); it just never comes out of `poll`.
+  MicroTime send(P packet, MicroTime now);
+
+  /// All packets that have arrived by `now`, in arrival order. The buffer
+  /// is reused: it stays valid until the next call.
+  const std::vector<P>& poll(MicroTime now);
 
   struct Stats {
     u64 packets_sent = 0;
@@ -212,9 +194,21 @@ class FeedbackLink {
   NetworkConfig config_;
   LossProcess loss_;
   Rng rng_;
-  MicroTime link_busy_until_ = 0;
-  std::deque<FeedbackPacket> in_flight_;
+  MicroTime busy_until_ = 0;
+  std::deque<P> in_flight_;  // sorted by arrival (jitter is bounded)
+  std::vector<P> arrived_;   // poll()'s reused output
   Stats stats_;
 };
+
+/// The shared downlink carrying video frames to every client.
+using SimulatedNetwork = Link<Packet>;
+/// The small reverse link carrying client feedback. A flapped link is dead
+/// in both directions, so it shares the downlink's fault schedule shape;
+/// the ARQ loop has to survive lost and delayed feedback, not just lost
+/// data.
+using FeedbackLink = Link<FeedbackPacket>;
+
+extern template class Link<Packet>;
+extern template class Link<FeedbackPacket>;
 
 }  // namespace vgbl

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
@@ -11,8 +10,6 @@
 namespace vgbl {
 
 namespace {
-
-constexpr MicroTime kNever = std::numeric_limits<MicroTime>::max();
 
 struct StreamMetrics {
   obs::Counter& frames_sent;
@@ -152,6 +149,11 @@ std::optional<FeedbackPacket> StreamClient::make_feedback(MicroTime now) {
   return fb;
 }
 
+MicroTime StreamClient::next_feedback_at() const {
+  const bool news = rx_cum_ != last_fed_back_cum_ || !rx_above_cum_.empty();
+  return news ? next_feedback_at_ : kNever;
+}
+
 void StreamClient::start_segment(MicroTime now) {
   segment_ = container_->segment_by_id(path_[path_pos_]);
   buffer_ = &buffers_[path_[path_pos_].value];
@@ -177,14 +179,19 @@ void StreamClient::skip_blocked_frames(SegmentBuffer& buf) {
 }
 
 void StreamClient::tick(MicroTime now) {
-  if (finished_) return;
+  if (finished_ || now <= ticked_at_) return;
+  ticked_at_ = now;
+  play(now);
+}
+
+void StreamClient::play(MicroTime now) {
   const ContainerSegment* seg = segment_;
   if (!seg) {
     finished_ = true;
     return;
   }
   SegmentBuffer& buf = *buffer_;
-  const MicroTime frame_period = 1'000'000 / std::max(1, container_->fps());
+  const MicroTime frame_period = this->frame_period();
 
   if (state_ == PlayState::kStalled) {
     stats_.rebuffer_time += now - state_since_;
@@ -292,7 +299,7 @@ void StreamClient::tick(MicroTime now) {
           finished_ = true;
         } else {
           start_segment(now);
-          tick(now);  // may start playing immediately if prefetched
+          play(now);  // may start playing immediately if prefetched
         }
       }
       break;
@@ -308,6 +315,22 @@ void StreamClient::tick(MicroTime now) {
       break;
     }
   }
+}
+
+MicroTime StreamClient::next_tick_at() const {
+  if (finished_) return kNever;
+  if (!segment_) return 0;  // the next tick finishes the client
+  const int frames = segment_->frame_count;
+  if (state_ == PlayState::kPlaying) {
+    // Frames before the first missing one present on schedule; the first
+    // tick that can stall or end the segment is at this frame's due time.
+    const int next = std::min(buffer_->prefix, frames - 1);
+    return next_frame_due_ + (next - presented_in_segment_) * frame_period();
+  }
+  // Buffering or stalled: only an arrival (which ticks the client at once)
+  // or the skip deadline moves it on. A full buffer plays at the next tick.
+  if (buffer_->prefix >= frames) return 0;
+  return blocked_since_ + config_.frame_skip_deadline;
 }
 
 StreamServer::StreamServer(const VideoContainer* container,
@@ -331,6 +354,10 @@ StreamClient& StreamServer::add_client(std::vector<SegmentId> path) {
   clients_.push_back(
       std::make_unique<StreamClient>(id, container_, std::move(path), config_));
   flows_.emplace_back().send_progress.assign(container_->segments().size(), 0);
+  const bool finished = clients_.back()->finished();
+  tick_at_.push_back(finished ? kNever : 0);
+  feedback_at_.push_back(kNever);
+  if (!finished) ++unfinished_;
   return *clients_.back();
 }
 
@@ -390,9 +417,14 @@ void StreamServer::on_feedback(const FeedbackPacket& fb, MicroTime now) {
 }
 
 void StreamServer::check_timeouts(MicroTime now) {
+  timeout_floor_ = kNever;
   for (size_t i = 0; i < flows_.size(); ++i) {
     Flow& arq = flows_[i];
-    if (arq.unacked.empty() || now < arq.next_timeout_at) continue;
+    if (arq.unacked.empty()) continue;
+    if (now < arq.next_timeout_at) {
+      timeout_floor_ = std::min(timeout_floor_, arq.next_timeout_at);
+      continue;
+    }
     const MicroTime base = rto(arq);
     MicroTime next = kNever;
     auto it = arq.unacked.begin();
@@ -431,6 +463,7 @@ void StreamServer::check_timeouts(MicroTime now) {
       ++it;
     }
     arq.next_timeout_at = next;
+    timeout_floor_ = std::min(timeout_floor_, next);
   }
 }
 
@@ -452,25 +485,31 @@ bool StreamServer::send_one_retransmit(MicroTime now) {
         static_cast<MicroTime>(rto(arq) << std::min(u.retries, 6)),
         config_.max_rto);
     arq.next_timeout_at = std::min(arq.next_timeout_at, now + backoff);
+    timeout_floor_ = std::min(timeout_floor_, arq.next_timeout_at);
     return true;
   }
   return false;
 }
 
-bool StreamServer::pump_client(StreamClient& client, MicroTime now) {
-  if (client.finished()) return false;
-  Flow& flow = flows_[client.id() - 1];
-  // ARQ flow control: a full window means the link (or the client) is not
-  // keeping up — pushing more new frames would only grow server state.
-  if (static_cast<int>(flow.unacked.size()) >= config_.max_unacked_per_flow) {
-    return false;
-  }
-  // Idle marker. What a flow can send is fixed by its path position and
-  // its send progress, and progress moves only when this flow sends, so a
-  // flow that found nothing at this position finds nothing again until
-  // the client moves on.
+bool StreamServer::can_pump(size_t index) const {
+  const StreamClient& client = *clients_[index];
+  const Flow& flow = flows_[index];
+  // A finished client needs nothing. ARQ flow control: a full window means
+  // the link (or the client) is not keeping up — pushing more new frames
+  // would only grow server state. Idle marker: what a flow can send is
+  // fixed by its path position and its send progress, and progress moves
+  // only when this flow sends, so a flow that found nothing at this
+  // position finds nothing again until the client moves on.
+  return !client.finished() &&
+         static_cast<int>(flow.unacked.size()) <
+             config_.max_unacked_per_flow &&
+         flow.idle_at != client.path_position();
+}
+
+bool StreamServer::pump_client(size_t index, MicroTime now) {
+  const StreamClient& client = *clients_[index];
+  Flow& flow = flows_[index];
   const size_t pos = client.path_position();
-  if (flow.idle_at == pos) return false;
 
   // Service order: current segment first, then the prefetch candidates
   // that follow it on the path.
@@ -505,6 +544,7 @@ bool StreamServer::pump_client(StreamClient& client, MicroTime now) {
     u.packet = p;
     u.last_sent = now;
     flow.next_timeout_at = std::min(flow.next_timeout_at, now + rto(flow));
+    timeout_floor_ = std::min(timeout_floor_, flow.next_timeout_at);
     flow.unacked.emplace(p.sequence, u);
     return true;
   }
@@ -512,35 +552,48 @@ bool StreamServer::pump_client(StreamClient& client, MicroTime now) {
   return false;
 }
 
+void StreamServer::tick_client(size_t index, MicroTime now) {
+  StreamClient& client = *clients_[index];
+  client.tick(now);
+  tick_at_[index] = client.next_tick_at();
+  if (client.finished()) --unfinished_;
+}
+
 bool StreamServer::step(MicroTime now) {
-  // Deliver arrived packets.
+  // Deliver arrived packets; their clients tick at this step.
   for (const Packet& p : network_.poll(now)) {
-    if (p.flow >= 1 && p.flow <= clients_.size()) {
-      clients_[p.flow - 1]->on_packet(p);
-    }
+    if (p.flow < 1 || p.flow > clients_.size()) continue;
+    StreamClient& client = *clients_[p.flow - 1];
+    client.on_packet(p);
+    if (!client.finished()) tick_at_[p.flow - 1] = now;
+    feedback_at_[p.flow - 1] = client.next_feedback_at();
   }
   // Process client feedback and fire retransmission timeouts.
   for (const FeedbackPacket& fb : feedback_.poll(now)) {
     on_feedback(fb, now);
   }
-  check_timeouts(now);
+  if (now >= timeout_floor_) check_timeouts(now);
 
-  // Advance playback models.
-  bool all_finished = true;
-  for (auto& c : clients_) {
-    c->tick(now);
-    all_finished &= c->finished();
+  // Advance the playback of the clients that are due. A skipped tick
+  // would only have moved the play-time sums along.
+  for (size_t i = 0; i < clients_.size(); ++i) {
+    if (tick_at_[i] <= now) tick_client(i, now);
   }
-  if (all_finished) return true;
+  if (unfinished_ == 0) return true;
 
   // Clients put feedback on the uplink — self-paced, change-driven, and
-  // subject to the thin reverse link's backpressure.
-  for (size_t i = 0; i < clients_.size() && feedback_.can_send(now); ++i) {
-    StreamClient& c = *clients_[fb_rr_ % clients_.size()];
-    ++fb_rr_;
-    if (auto fb = c.make_feedback(now)) {
+  // subject to the thin reverse link's backpressure. The cursor walks
+  // every client as before; a client with nothing due is passed over,
+  // because its make_feedback would return nothing and change nothing.
+  const size_t n = clients_.size();
+  for (size_t k = 0; k < n && feedback_.can_send(now); ++k) {
+    const size_t i = take_turn(fb_rr_);
+    if (feedback_at_[i] > now) continue;
+    StreamClient& client = *clients_[i];
+    if (auto fb = client.make_feedback(now)) {
       feedback_.send(std::move(*fb), now);
     }
+    feedback_at_[i] = client.next_feedback_at();
   }
 
   // Fill the link: pending retransmissions first (they are blocking
@@ -549,10 +602,9 @@ bool StreamServer::step(MicroTime now) {
   while (network_.can_send(now) && send_one_retransmit(now)) {
   }
   size_t idle_count = 0;
-  while (network_.can_send(now) && idle_count < clients_.size()) {
-    StreamClient& c = *clients_[rr_ % clients_.size()];
-    ++rr_;
-    if (pump_client(c, now)) {
+  while (network_.can_send(now) && idle_count < n) {
+    const size_t i = take_turn(rr_);
+    if (can_pump(i) && pump_client(i, now)) {
       idle_count = 0;
     } else {
       ++idle_count;
@@ -561,11 +613,46 @@ bool StreamServer::step(MicroTime now) {
   return false;
 }
 
+MicroTime StreamServer::next_step_at(MicroTime now) const {
+  // No wake comes before the next grid point; while packets are in flight
+  // (most steps of a busy link) the search ends there.
+  const MicroTime soonest = (now / kStepInterval + 1) * kStepInterval;
+  MicroTime at = std::min(network_.next_arrival(), feedback_.next_arrival());
+  if (at <= soonest) return soonest;
+  MicroTime feedback = kNever;
+  // At the end of a step the link is free only when nothing can use it.
+  bool link_work = !retransmit_queue_.empty();
+  for (size_t i = 0; i < clients_.size(); ++i) {
+    at = std::min(at, tick_at_[i]);
+    feedback = std::min(feedback, feedback_at_[i]);
+    const Flow& flow = flows_[i];
+    if (!flow.unacked.empty()) at = std::min(at, flow.next_timeout_at);
+    link_work = link_work || can_pump(i);
+  }
+  if (feedback != kNever) {
+    at = std::min(at, std::max(feedback, feedback_.busy_until()));
+  }
+  if (link_work) at = std::min(at, network_.busy_until());
+  if (at == kNever) return kNever;
+  return std::max(soonest,
+                  (at + kStepInterval - 1) / kStepInterval * kStepInterval);
+}
+
+MicroTime StreamServer::cut_off(MicroTime deadline) {
+  const MicroTime end =
+      (deadline + kStepInterval - 1) / kStepInterval * kStepInterval;
+  for (size_t i = 0; i < clients_.size(); ++i) {
+    if (tick_at_[i] != kNever) tick_client(i, end - kStepInterval);
+  }
+  return end;
+}
+
 MicroTime StreamServer::run(MicroTime deadline) {
+  if (deadline <= 0) return 0;
   MicroTime now = 0;
-  while (now < deadline) {
-    if (step(now)) return now;
-    now += kStepInterval;
+  while (!step(now)) {
+    now = next_step_at(now);
+    if (now >= deadline) return cut_off(deadline);
   }
   return now;
 }

@@ -13,6 +13,7 @@
 // (counted in `frames_skipped`) instead of stalling forever.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -132,14 +133,34 @@ class StreamClient {
   [[nodiscard]] size_t path_position() const { return path_pos_; }
 
   void on_packet(const Packet& packet);
-  /// Advances the playback model to `now`.
+  /// Advances the playback model to `now`. A tick at or before the last
+  /// one does nothing.
   void tick(MicroTime now);
+  /// When the next tick can do more than present frames already buffered
+  /// and add the elapsed time to `play_time` or `rebuffer_time` (those
+  /// sums telescope, so skipping a tick loses nothing), assuming no packet
+  /// arrives first. While
+  /// playing: the due time of frame min(prefix, frame_count − 1), the
+  /// next possible stall or the segment's end. While buffering or
+  /// stalled: the skip deadline of the blocking frame. kNever once
+  /// finished. A time at or before the last tick means "at the next one".
+  [[nodiscard]] MicroTime next_tick_at() const;
 
   /// Builds the next feedback packet (cumulative ACK + aged NACKs) when
   /// the pacing interval has elapsed and there is something new to report.
   [[nodiscard]] std::optional<FeedbackPacket> make_feedback(MicroTime now);
+  /// The earliest time make_feedback can return a packet or record a gap:
+  /// the pacing time while there is news (an advance not yet ACKed, or a
+  /// sequence gap), kNever otherwise. Only on_packet and make_feedback
+  /// change it.
+  [[nodiscard]] MicroTime next_feedback_at() const;
 
  private:
+  [[nodiscard]] MicroTime frame_period() const {
+    return 1'000'000 / std::max(1, container_->fps());
+  }
+  /// tick()'s body; re-entered at the same `now` when a segment ends.
+  void play(MicroTime now);
   void start_segment(MicroTime now);
   /// Receive state of one segment: `prefix` frames from the start are
   /// available (arrived or skipped); `pending` holds available frames past
@@ -175,6 +196,8 @@ class StreamClient {
   u64 last_fed_back_cum_ = 0;
   MicroTime next_feedback_at_ = 0;
 
+  MicroTime ticked_at_ = -1;  // sim time of the last tick
+
   // Playback state for the current segment.
   enum class PlayState { kBuffering, kPlaying, kStalled };
   PlayState state_ = PlayState::kBuffering;
@@ -199,24 +222,47 @@ class StreamServer {
   StreamServer(const VideoContainer* container, StreamingConfig config,
                u64 seed = 11);
 
+  /// Clients join before the first step: the round-robin cursors stay
+  /// exact only modulo a client count that does not change mid-run.
   StreamClient& add_client(std::vector<SegmentId> path);
 
-  /// Scheduler cadence of the delivery loop: one step() every 2 ms of sim
-  /// time, both inside run() and when a DES actor (src/sim) drives the
-  /// server on a shared timeline.
+  /// The delivery grid: steps happen at multiples of 2 ms of sim time,
+  /// both inside run() and when a DES actor (src/sim) drives the server
+  /// on a shared timeline. A drive may step every grid point or only
+  /// those next_step_at() names; both give the same bits.
   static constexpr MicroTime kStepInterval = milliseconds(2);
 
   /// One delivery step at sim time `now`: deliver arrived packets, process
-  /// feedback, fire ARQ timeouts, advance every client's playback, then
-  /// fill the link (retransmits first, new frames round-robin). Returns
-  /// true once every client has finished. Exposed so a discrete-event
-  /// timeline can interleave many servers; run() is exactly this in a
-  /// kStepInterval loop, so the two drive modes are step-for-step
-  /// identical.
+  /// feedback, fire ARQ timeouts, advance the playback of every client
+  /// that is due, then fill the link (retransmits first, new frames
+  /// round-robin). Returns true once every client has finished. Exposed
+  /// so a discrete-event timeline can interleave many servers. A step at
+  /// a grid point that next_step_at() did not name changes nothing, so
+  /// stepping every grid point gives the same outcome as stepping only
+  /// the named ones.
   bool step(MicroTime now);
 
-  /// Runs the simulation until all clients finish or `deadline` passes.
-  /// Returns the end time.
+  /// The first grid point after `now` at which a step can change
+  /// anything, given a step at `now` just ran (kNever: nothing ever will).
+  /// That is the earliest of: the next downlink or feedback arrival, the
+  /// earliest ARQ timeout, the downlink freeing while a retransmit is
+  /// queued or a flow has something to send, a client's feedback pacing
+  /// time while it has news (once the uplink is free), and each client's
+  /// next tick (StreamClient::next_tick_at).
+  [[nodiscard]] MicroTime next_step_at(MicroTime now) const;
+
+  /// Ends a drive that `deadline` (> 0) cuts off before every client
+  /// finished: ticks every client at the last grid point before
+  /// `deadline`, so a cut-off client's play time and presented frames
+  /// count up to there, and returns the first grid point at or after
+  /// `deadline`, the end time run() reports. run() and StreamActor call
+  /// it; a drive that steps every grid point itself should too.
+  MicroTime cut_off(MicroTime deadline);
+
+  /// Runs the simulation until all clients finish or `deadline` passes,
+  /// stepping at the grid points next_step_at() names. Returns the end
+  /// time: the step where the last client finished, or the first grid
+  /// point at or after `deadline`.
   MicroTime run(MicroTime deadline);
 
   [[nodiscard]] const std::vector<std::unique_ptr<StreamClient>>& clients()
@@ -280,9 +326,22 @@ class StreamServer {
     size_t idle_at = kNotIdle;
   };
 
-  /// Sends one pending frame-chunk for `client`; returns false when the
-  /// client needs nothing (fully buffered / finished / window full).
-  bool pump_client(StreamClient& client, MicroTime now);
+  /// True when pump_client(index) can send or mark the flow idle: the
+  /// client is unfinished, its window has room, and its idle marker is
+  /// not at the client's path position.
+  [[nodiscard]] bool can_pump(size_t index) const;
+  /// Sends one pending frame-chunk for the client at `index` (which
+  /// can_pump); returns false, marking the flow idle, when it has nothing
+  /// to send at its path position.
+  bool pump_client(size_t index, MicroTime now);
+  /// Ticks the client at `index` and records its next tick time.
+  void tick_client(size_t index, MicroTime now);
+  /// The client index a round-robin cursor points at; moves it on by one.
+  size_t take_turn(size_t& cursor) const {
+    const size_t index = cursor;
+    cursor = index + 1 == clients_.size() ? 0 : index + 1;
+    return index;
+  }
   void on_feedback(const FeedbackPacket& fb, MicroTime now);
   void check_timeouts(MicroTime now);
   /// Current retransmission timeout for one flow (before backoff).
@@ -298,10 +357,19 @@ class StreamServer {
   std::vector<Flow> flows_;  // parallel to clients_
   std::deque<std::pair<u32, u64>> retransmit_queue_;  // (flow, sequence)
   ArqStats arq_stats_;
-  // Round-robin cursors, persistent across steps: new frames / feedback
-  // uplink access.
+  // Round-robin cursors, persistent across steps and kept below the
+  // client count: new frames / feedback uplink access.
   size_t rr_ = 0;
   size_t fb_rr_ = 0;
+  // Per-client wake times, parallel to clients_: when each next needs a
+  // tick (now, once a packet for it arrived) and when its make_feedback
+  // can next do anything.
+  std::vector<MicroTime> tick_at_;
+  std::vector<MicroTime> feedback_at_;
+  size_t unfinished_ = 0;
+  // No flow's ARQ timeout fires before this (a lower bound; exact after
+  // each check_timeouts scan).
+  MicroTime timeout_floor_ = kNever;
 };
 
 /// Builds a plausible student path: a weighted random walk over the graph

@@ -48,8 +48,8 @@ struct DistrictOptions {
   std::string persist_dir;
 
   /// Adds a streaming cohort per classroom on the same timeline: each
-  /// classroom runs a StreamServer whose 2 ms delivery steps interleave
-  /// with gameplay events.
+  /// classroom runs a StreamServer whose delivery steps (on the 2 ms grid,
+  /// where something is due) interleave with gameplay events.
   bool stream = false;
   /// Streaming clients per classroom (0: one per student).
   int stream_clients = 0;

@@ -14,6 +14,13 @@
 // with idle ones. A last table pins each classroom's StreamReplaySummary
 // from one streaming sim::run_district, the StreamActor drive mode.
 //
+// The rows were captured when step() ran at every 2 ms grid point and
+// ticked every client. run() and the actor step only where
+// next_step_at() says a step can change something, so the table is
+// checked through both drives, and so are six deadline cut-offs. A
+// lesson-shaped cohort also pins how few grid points the sparse drive
+// steps, and the actor's step counter is checked against its firings.
+//
 // Regenerating after an *intentional* delivery change:
 //   VGBL_GOLDEN_PRINT=1 ./build/tests/stream_golden_test
 // prints the replacement tables; paste them below and say why in the
@@ -30,7 +37,10 @@
 
 #include "core/platform.hpp"
 #include "net/streaming.hpp"
+#include "obs/metrics.hpp"
 #include "sim/district.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/stream_actor.hpp"
 
 namespace vgbl {
 namespace {
@@ -142,19 +152,26 @@ const char* const kProfiles[] = {"clean", "iid2",     "bursty",
 constexpr u64 kSeeds[] = {99, 7};
 constexpr int kClientCounts[] = {4, 32};
 
-u64 stream_fingerprint(const GameBundle& bundle, const std::string& profile,
-                       u64 seed, int clients, const Variant& variant) {
+/// One cohort over the classroom link with `profile`'s faults, built as
+/// replay_classroom_stream builds it, then the variant's knob.
+std::unique_ptr<StreamServer> make_cohort(const GameBundle& bundle,
+                                          const std::string& profile, u64 seed,
+                                          int clients,
+                                          const Variant& variant) {
   StreamingConfig config = StreamReplayOptions::classroom_link_defaults();
   config.faults = FaultSchedule::profile(profile);
   if (profile == "iid2") config.network.loss_rate = 0.02;
   variant.apply(config);
-  StreamServer server(bundle.video.get(), config, seed);
+  auto server = std::make_unique<StreamServer>(bundle.video.get(), config,
+                                               seed);
   for (int i = 0; i < clients; ++i) {
     Rng rng(classroom_student_seed(seed, i + 1));
-    server.add_client(random_student_path(bundle.graph, 12, rng));
+    server->add_client(random_student_path(bundle.graph, 12, rng));
   }
-  const MicroTime end = server.run(seconds(600));
+  return server;
+}
 
+u64 fingerprint(const StreamServer& server, MicroTime end) {
   Fnv h;
   for (const auto& c : server.clients()) mix_client(h, *c);
   mix_arq(h, server.arq_stats());
@@ -165,6 +182,68 @@ u64 stream_fingerprint(const GameBundle& bundle, const std::string& profile,
   return h.value();
 }
 
+constexpr MicroTime kDeadline = seconds(600);
+
+/// The drive the rows were captured with: step() at every grid point
+/// until every client finished, or cut_off() at the deadline (perfbench's
+/// replay steps the same way; its cohorts never reach the deadline).
+/// Returns the end time run() would report; `steps` counts the calls.
+MicroTime step_every_grid_point(StreamServer& server,
+                                MicroTime deadline = kDeadline,
+                                u64* steps = nullptr) {
+  for (MicroTime t = 0;; t += StreamServer::kStepInterval) {
+    if (t >= deadline) return server.cut_off(deadline);
+    if (steps != nullptr) ++*steps;
+    if (server.step(t)) return t;
+  }
+}
+
+/// run()'s drive, counting its steps: only the grid points
+/// next_step_at() names.
+MicroTime step_when_due(StreamServer& server, u64* steps) {
+  for (MicroTime now = 0;;) {
+    ++*steps;
+    if (server.step(now)) return now;
+    now = server.next_step_at(now);
+    if (now >= kDeadline) return server.cut_off(kDeadline);
+  }
+}
+
+/// The StreamActor drive: the server alone on a scheduler's timeline.
+/// Returns the actor's end time.
+MicroTime run_actor(StreamServer& server, MicroTime deadline,
+                    sim::SchedulerStats* stats = nullptr) {
+  sim::StreamActor actor(&server, deadline);
+  sim::Scheduler scheduler(sim::SchedulerOptions{});
+  scheduler.schedule(scheduler.add_actor(&actor), 0);
+  const sim::SchedulerStats run = scheduler.run();
+  if (stats != nullptr) *stats = run;
+  EXPECT_TRUE(actor.finished());
+  return actor.end_time();
+}
+
+enum class Drive { kRun, kActor, kEveryGridPoint };
+
+MicroTime drive_to(StreamServer& server, MicroTime deadline, Drive drive) {
+  switch (drive) {
+    case Drive::kRun:
+      return server.run(deadline);
+    case Drive::kActor:
+      return run_actor(server, deadline);
+    case Drive::kEveryGridPoint:
+      return step_every_grid_point(server, deadline);
+  }
+  return 0;
+}
+
+u64 stream_fingerprint(const GameBundle& bundle, const std::string& profile,
+                       u64 seed, int clients, const Variant& variant,
+                       Drive drive) {
+  auto server = make_cohort(bundle, profile, seed, clients, variant);
+  const MicroTime end = drive_to(*server, kDeadline, drive);
+  return fingerprint(*server, end);
+}
+
 std::string row_key(const char* game, const std::string& profile, u64 seed,
                     int clients, const char* variant) {
   return std::string(game) + "/" + profile + "/s" + std::to_string(seed) +
@@ -172,14 +251,15 @@ std::string row_key(const char* game, const std::string& profile, u64 seed,
 }
 
 /// Every row of the grid, keyed as row_key() spells it.
-std::map<std::string, u64> capture_rows() {
+std::map<std::string, u64> capture_rows(Drive drive) {
   std::map<std::string, u64> rows;
   for (const Game& game : games()) {
     for (const char* profile : kProfiles) {
       for (u64 seed : kSeeds) {
         for (int clients : kClientCounts) {
           rows[row_key(game.name, profile, seed, clients, kBase.name)] =
-              stream_fingerprint(*game.bundle, profile, seed, clients, kBase);
+              stream_fingerprint(*game.bundle, profile, seed, clients, kBase,
+                                 drive);
         }
       }
     }
@@ -189,7 +269,7 @@ std::map<std::string, u64> capture_rows() {
         for (int clients : kClientCounts) {
           rows[row_key(game.name, profile, kSeeds[0], clients, variant.name)] =
               stream_fingerprint(*game.bundle, profile, kSeeds[0], clients,
-                                 variant);
+                                 variant, drive);
         }
       }
     }
@@ -289,6 +369,35 @@ constexpr GoldenRow kGolden[] = {
     // clang-format on
 };
 
+/// Cohorts a deadline cuts off mid-play, on and off the 2 ms grid.
+struct CutOff {
+  size_t game;  // index into games()
+  const char* profile;
+  u64 seed;
+  int clients;
+  MicroTime deadline;
+};
+const CutOff kCutOffs[] = {
+    {0, "degraded", 99, 32, seconds(25)},
+    {0, "degraded", 99, 32, seconds(25) + 1},
+    {0, "degraded", 99, 32, seconds(25) + milliseconds(3)},
+    {0, "bursty", 7, 4, seconds(3) + 1},
+    {1, "stress", 7, 32, seconds(12) + 345},
+    {1, "flap", 99, 4, seconds(11) + milliseconds(1)},
+};
+
+// Captured when every step ticked every client.
+constexpr GoldenRow kGoldenCutOff[] = {
+    // clang-format off
+    {"classroom-repair/bursty/s7/c4/t3000001", 6255327694144432779ULL},
+    {"classroom-repair/degraded/s99/c32/t25000000", 15003442560120954191ULL},
+    {"classroom-repair/degraded/s99/c32/t25000001", 13168071254544808677ULL},
+    {"classroom-repair/degraded/s99/c32/t25003000", 12861141148217086149ULL},
+    {"treasure-hunt/flap/s99/c4/t11001000", 10122664773137266047ULL},
+    {"treasure-hunt/stress/s7/c32/t12000345", 17824561657588971553ULL},
+    // clang-format on
+};
+
 constexpr GoldenRow kGoldenDistrict[] = {
     // clang-format off
     {"classroom-0", 3667927076998874221ULL},
@@ -325,9 +434,110 @@ void check_table(const std::map<std::string, u64>& got,
   }
 }
 
+u64 golden_hash(const std::string& key) {
+  for (const GoldenRow& row : kGolden) {
+    if (key == row.key) return row.hash;
+  }
+  ADD_FAILURE() << "no golden row " << key;
+  return 0;
+}
+
+u64 counter_value(const char* name) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+  const obs::CounterSample* c = snap.find_counter(name);
+  return c != nullptr ? c->value : 0;
+}
+
+u64 histogram_count(const char* name) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+  const obs::HistogramSample* h = snap.find_histogram(name);
+  return h != nullptr ? h->count : 0;
+}
+
 TEST(StreamGoldenTest, ServerRunsAreStable) {
   ASSERT_EQ(games().size(), 2u);
-  check_table(capture_rows(), kGolden, "kGolden");
+  check_table(capture_rows(Drive::kRun), kGolden, "kGolden");
+}
+
+TEST(StreamGoldenTest, DenseStepsMatchTheGoldenRows) {
+  // Stepping grid points next_step_at() skips must change nothing.
+  ASSERT_EQ(games().size(), 2u);
+  check_table(capture_rows(Drive::kEveryGridPoint), kGolden, "kGolden");
+}
+
+TEST(StreamGoldenTest, LessonCohortStepsFewGridPoints) {
+  // perfbench `lesson`'s cohort shape: classroom-repair, 32 clients,
+  // `degraded`, the classroom link. Its link goes quiet once every
+  // segment is delivered, well before playback ends, and from then on
+  // only segment ends need a step.
+  const Game& game = games().front();
+  ASSERT_STREQ(game.name, "classroom-repair");
+  const std::string key =
+      row_key(game.name, "degraded", kSeeds[0], 32, kBase.name);
+
+  u64 dense_steps = 0;
+  auto dense = make_cohort(*game.bundle, "degraded", kSeeds[0], 32, kBase);
+  const MicroTime dense_end =
+      step_every_grid_point(*dense, kDeadline, &dense_steps);
+  u64 sparse_steps = 0;
+  auto sparse = make_cohort(*game.bundle, "degraded", kSeeds[0], 32, kBase);
+  const MicroTime sparse_end = step_when_due(*sparse, &sparse_steps);
+
+  EXPECT_EQ(sparse_end, dense_end);
+  EXPECT_EQ(fingerprint(*sparse, sparse_end), fingerprint(*dense, dense_end));
+  EXPECT_EQ(fingerprint(*sparse, sparse_end), golden_hash(key));
+  EXPECT_EQ(dense_steps,
+            static_cast<u64>(dense_end / StreamServer::kStepInterval) + 1);
+  EXPECT_LT(static_cast<f64>(sparse_steps),
+            0.4 * static_cast<f64>(dense_steps))
+      << sparse_steps << " of " << dense_steps << " grid points stepped";
+}
+
+TEST(StreamGoldenTest, DeadlineCutOffsAreStable) {
+  // Each drive must count a cut-off client's play time and presented
+  // frames up to the last grid point before the deadline.
+  for (const Drive drive :
+       {Drive::kRun, Drive::kActor, Drive::kEveryGridPoint}) {
+    std::map<std::string, u64> got;
+    for (const CutOff& cut : kCutOffs) {
+      const Game& game = games()[cut.game];
+      auto server = make_cohort(*game.bundle, cut.profile, cut.seed,
+                                cut.clients, kBase);
+      const MicroTime end = drive_to(*server, cut.deadline, drive);
+      ASSERT_GT(server->aggregate().unfinished_clients, 0) << cut.deadline;
+      got[row_key(game.name, cut.profile, cut.seed, cut.clients, "t") +
+          std::to_string(cut.deadline)] = fingerprint(*server, end);
+    }
+    check_table(got, kGoldenCutOff, "kGoldenCutOff");
+  }
+}
+
+TEST(StreamActorTest, StepCounterMatchesTheActorsFirings) {
+  const Game& game = games().front();
+  auto drive = [&](bool obs_on, sim::SchedulerStats* stats) {
+    obs::ScopedEnable scope(obs_on);
+    auto server = make_cohort(*game.bundle, "degraded", kSeeds[0], 4, kBase);
+    const MicroTime end = run_actor(*server, kDeadline, stats);
+    return fingerprint(*server, end);
+  };
+  const u64 golden =
+      golden_hash(row_key(game.name, "degraded", kSeeds[0], 4, kBase.name));
+
+  // Idle when obs is off: nothing counted, nothing timed.
+  const u64 steps_before = counter_value("sim_stream_steps_total");
+  const u64 timed_before = histogram_count("sim_stream_step_ms");
+  sim::SchedulerStats off;
+  EXPECT_EQ(drive(false, &off), golden);
+  EXPECT_EQ(counter_value("sim_stream_steps_total"), steps_before);
+  EXPECT_EQ(histogram_count("sim_stream_step_ms"), timed_before);
+
+  // On: one count and one timing per firing (every firing steps, since
+  // the cohort finishes before the deadline), and the same outcome.
+  sim::SchedulerStats on;
+  EXPECT_EQ(drive(true, &on), golden);
+  EXPECT_EQ(on.events, off.events);
+  EXPECT_EQ(counter_value("sim_stream_steps_total") - steps_before, on.events);
+  EXPECT_EQ(histogram_count("sim_stream_step_ms") - timed_before, on.events);
 }
 
 TEST(StreamGoldenTest, DistrictStreamSummariesAreStable) {
