@@ -17,7 +17,7 @@ namespace {
 
 using namespace vgbl;
 
-Point locate(const GameSession& session, const std::string& name) {
+Point locate(GameSession& session, const std::string& name) {
   for (const auto* o : session.visible_objects()) {
     if (o->name == name) {
       const Point c = o->placement.rect.center();

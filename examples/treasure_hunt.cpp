@@ -77,8 +77,8 @@ int main() {
     std::printf("%-34s %-6s %-7d %-7lld %-8zu %zu\n", run.name,
                 result.succeeded ? "yes" : "no", result.steps,
                 static_cast<long long>(session.score()),
-                session.tracker().items_collected().size(),
-                session.tracker().rewards_earned().size());
+                session.tracker().item_count(),
+                session.tracker().reward_count());
   }
   return scripted.value().succeeded ? 0 : 1;
 }

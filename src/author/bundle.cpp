@@ -12,6 +12,34 @@ namespace {
 constexpr char kBundleMagic[4] = {'V', 'G', 'B', '1'};
 constexpr u16 kBundleVersion = 1;
 
+/// Each scenario's objects in paint order and one hit grid over them.
+std::vector<ScenarioObjects> index_scenario_objects(
+    const ScenarioGraph& graph, const std::vector<InteractiveObject>& objects,
+    Size frame) {
+  std::vector<ScenarioObjects> out(graph.scenarios().size());
+  for (u32 i = 0; i < objects.size(); ++i) {
+    const Scenario* s = graph.find(objects[i].scenario);
+    if (s == nullptr) continue;
+    const auto scenario = static_cast<size_t>(s - graph.scenarios().data());
+    out[scenario].paint_order.push_back(i);
+  }
+  std::vector<HitTarget> targets;
+  for (ScenarioObjects& so : out) {
+    std::stable_sort(so.paint_order.begin(), so.paint_order.end(),
+                     [&](u32 a, u32 b) {
+                       return objects[a].placement.z < objects[b].placement.z;
+                     });
+    targets.clear();
+    for (u32 i : so.paint_order) {
+      const InteractiveObject& o = objects[i];
+      targets.push_back({o.id, o.placement.rect, o.placement.z, true});
+    }
+    so.hits = GridHitTester(frame);
+    so.hits.rebuild(targets);
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<Bytes> build_bundle(const Project& project,
@@ -118,6 +146,13 @@ Result<GameBundle> load_bundle(Bytes data) {
       return corrupt_data("bundle scenario '" + s.name +
                           "' references segment missing from container");
     }
+  }
+  bundle.scenario_objects = index_scenario_objects(
+      bundle.graph, bundle.objects,
+      {bundle.video->width(), bundle.video->height()});
+  for (const ScenarioObjects& so : bundle.scenario_objects) {
+    bundle.max_scenario_objects =
+        std::max(bundle.max_scenario_objects, so.paint_order.size());
   }
   return bundle;
 }

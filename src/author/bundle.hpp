@@ -12,9 +12,22 @@
 
 namespace vgbl {
 
+/// One scenario's objects, built once by `load_bundle`. Indices, not
+/// pointers: the bundle is moved after load.
+struct ScenarioObjects {
+  /// Indices into GameBundle::objects in paint order: bundle order, stably
+  /// sorted by z.
+  std::vector<u32> paint_order;
+  /// One grid over the authored rects of those objects; target i is
+  /// objects[paint_order[i]]. Sessions skip the targets hidden at the
+  /// current frame (GridHitTester::hit_where).
+  GridHitTester hits{Size{0, 0}};
+};
+
 /// Everything the runtime needs to play a game. Produced by `load_bundle`
 /// and immutable once shared: every session of a bundle reads its data,
-/// including the compiled rule book, in place.
+/// including the compiled rule book and the per-scenario object lists and
+/// hit grids, in place.
 struct GameBundle {
   ProjectMeta meta;
   ScenarioGraph graph;
@@ -28,6 +41,20 @@ struct GameBundle {
   std::vector<DialogueTree> dialogues;
   std::vector<Quiz> quizzes;
   std::shared_ptr<VideoContainer> video;
+  /// Per scenario, parallel to graph.scenarios().
+  std::vector<ScenarioObjects> scenario_objects;
+  /// The most objects any one scenario holds: what a session's
+  /// visible-object list can grow to.
+  size_t max_scenario_objects = 0;
+
+  /// The object list and hit grid of scenario `id`; null for an id the
+  /// graph does not hold.
+  [[nodiscard]] const ScenarioObjects* objects_of(ScenarioId id) const {
+    const Scenario* s = graph.find(id);
+    return s == nullptr ? nullptr
+                        : &scenario_objects[static_cast<size_t>(
+                              s - graph.scenarios().data())];
+  }
 
   [[nodiscard]] const InteractiveObject* find_object(ObjectId id) const {
     for (const auto& o : objects) {

@@ -84,11 +84,10 @@ inline void fill_student_result(StudentResult& r, const GameSession& session,
   r.steps = bot.steps;
   r.score = session.score();
   r.play_seconds = to_seconds(clock.now());
-  r.decisions = static_cast<int>(session.tracker().decisions().size());
-  r.items_collected =
-      static_cast<int>(session.tracker().items_collected().size());
-  r.rewards = static_cast<int>(session.tracker().rewards_earned().size());
-  r.interactions = static_cast<int>(session.tracker().interactions().size());
+  r.decisions = static_cast<int>(session.tracker().decision_count());
+  r.items_collected = static_cast<int>(session.tracker().item_count());
+  r.rewards = static_cast<int>(session.tracker().reward_count());
+  r.interactions = static_cast<int>(session.tracker().interaction_count());
   r.unlocks = session.rewards().unlock_log();
   r.badge_points = session.rewards().total_bonus_points();
 }

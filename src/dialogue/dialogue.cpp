@@ -88,21 +88,18 @@ std::vector<std::string> DialogueTree::validate() const {
 }
 
 DialogueRunner::DialogueRunner(const DialogueTree* tree) : tree_(tree) {
+  transcript_.reserve(8);
   if (tree_ && tree_->entry() != kEndDialogue) {
     enter(tree_->entry(), "");
   }
 }
 
-void DialogueRunner::enter(int node_id, std::string chosen_text) {
+void DialogueRunner::enter(int node_id, std::string_view chosen_text) {
   node_ = node_id == kEndDialogue ? nullptr : tree_->find(node_id);
   if (!node_) return;
-  DialogueEvent ev;
-  ev.speaker = node_->speaker;
-  ev.line = node_->line;
-  ev.chosen = std::move(chosen_text);
-  ev.action_tag = node_->action_tag;
   if (!node_->action_tag.empty()) fired_tags_.push_back(node_->action_tag);
-  transcript_.push_back(std::move(ev));
+  transcript_.push_back(
+      {node_->speaker, node_->line, chosen_text, node_->action_tag});
 }
 
 Status DialogueRunner::advance() {

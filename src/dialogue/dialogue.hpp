@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.hpp"
@@ -60,12 +61,13 @@ class DialogueTree {
   int entry_ = kEndDialogue;
 };
 
-/// One line shown to the player (for transcripts and the message UI).
+/// One line shown to the player (for transcripts and the message UI). The
+/// views point into the tree, which outlives every runner walking it.
 struct DialogueEvent {
-  std::string speaker;
-  std::string line;
-  std::string chosen;      // the choice text that led here (if any)
-  std::string action_tag;  // tag fired by this node/choice
+  std::string_view speaker;
+  std::string_view line;
+  std::string_view chosen;      // the choice text that led here (if any)
+  std::string_view action_tag;  // tag fired by this node/choice
 };
 
 /// Walks a tree. The runtime shows `current()`, then either `advance()` (no
@@ -85,18 +87,19 @@ class DialogueRunner {
   [[nodiscard]] const std::vector<DialogueEvent>& transcript() const {
     return transcript_;
   }
-  /// Action tags fired so far, in order (consumed by the event system).
-  [[nodiscard]] const std::vector<std::string>& fired_tags() const {
+  /// Action tags fired so far, in order (consumed by the event system);
+  /// views into the tree.
+  [[nodiscard]] const std::vector<std::string_view>& fired_tags() const {
     return fired_tags_;
   }
 
  private:
-  void enter(int node_id, std::string chosen_text);
+  void enter(int node_id, std::string_view chosen_text);
 
   const DialogueTree* tree_;
   const DialogueNode* node_ = nullptr;
   std::vector<DialogueEvent> transcript_;
-  std::vector<std::string> fired_tags_;
+  std::vector<std::string_view> fired_tags_;
 };
 
 }  // namespace vgbl

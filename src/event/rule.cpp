@@ -101,6 +101,7 @@ RuleBook::RuleBook(std::vector<EventRule> rules, GuardEngine engine)
   for (u32 i = 0; i < rules_.size(); ++i) {
     const EventRule& r = rules_[i];
     compiled_.emplace_back(r.condition);
+    if (r.trigger.type == TriggerType::kTimer) timers_.push_back(i);
     const u32 entity = primary_entity(r.trigger);
     if (entity == 0) {
       type_wildcards_[static_cast<size_t>(r.trigger.type)].push_back(i);
@@ -118,50 +119,49 @@ bool RuleBook::guard_passes(size_t rule_index,
   return evaluate(rules_[rule_index].condition, state);
 }
 
-std::vector<const EventRule*> RuleBook::match(
-    const TriggerEvent& event, const GameStateView& state,
-    const std::unordered_set<u32>& disarmed) const {
-  // Gather candidates from the exact bucket and the type-wildcard bucket,
-  // then restore declaration order (designers rely on it for layering
+RuleMatches RuleBook::match(const TriggerEvent& event,
+                            const GameStateView& state,
+                            const std::unordered_set<u32>& disarmed) const {
+  // Candidates come from up to three buckets: the exact one, the second
+  // item's for combine events, and the type wildcards. Each lists rule
+  // indices in ascending order, so merging them visits every candidate
+  // once, in declaration order (designers rely on it for layering
   // "specific rule shadows generic rule" behaviour).
-  std::vector<u32> candidates;
+  struct Bucket {
+    const u32* at = nullptr;
+    const u32* end = nullptr;
+  };
+  const auto bucket = [&](u32 entity) {
+    const auto it = index_.find(key(event.type, entity));
+    return it == index_.end()
+               ? Bucket{}
+               : Bucket{it->second.data(),
+                        it->second.data() + it->second.size()};
+  };
+  Bucket buckets[3];
   const u32 entity = primary_entity(event);
-  if (entity != 0) {
-    auto it = index_.find(key(event.type, entity));
-    if (it != index_.end()) {
-      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
-    }
-  }
-  // For combine events the second item's bucket also applies.
+  if (entity != 0) buckets[0] = bucket(entity);
   if (event.type == TriggerType::kCombineItems && event.second_item.valid() &&
       event.second_item.value != entity) {
-    auto it = index_.find(key(event.type, event.second_item.value));
-    if (it != index_.end()) {
-      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
-    }
+    buckets[1] = bucket(event.second_item.value);
   }
   const auto& wild = type_wildcards_[static_cast<size_t>(event.type)];
-  candidates.insert(candidates.end(), wild.begin(), wild.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  buckets[2] = {wild.data(), wild.data() + wild.size()};
 
-  std::vector<const EventRule*> out;
-  for (u32 i : candidates) {
+  RuleMatches out;
+  for (;;) {
+    u32 i = ~0u;
+    for (const Bucket& b : buckets) {
+      if (b.at != b.end && *b.at < i) i = *b.at;
+    }
+    if (i == ~0u) break;
+    for (Bucket& b : buckets) {
+      if (b.at != b.end && *b.at == i) ++b.at;
+    }
     const EventRule& r = rules_[i];
     if (r.once && disarmed.count(r.id.value)) continue;
     if (!trigger_matches(r.trigger, event)) continue;
     if (!guard_passes(i, state)) continue;
-    out.push_back(&r);
-  }
-  return out;
-}
-
-std::vector<const EventRule*> RuleBook::timers_for(ScenarioId scenario) const {
-  std::vector<const EventRule*> out;
-  for (const auto& r : rules_) {
-    if (r.trigger.type != TriggerType::kTimer) continue;
-    if (r.trigger.scenario.valid() && r.trigger.scenario != scenario) continue;
     out.push_back(&r);
   }
   return out;

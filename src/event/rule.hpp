@@ -14,6 +14,7 @@
 #include "event/condition.hpp"
 #include "event/trigger.hpp"
 #include "event/vm.hpp"
+#include "util/small_vector.hpp"
 
 namespace vgbl {
 
@@ -26,6 +27,12 @@ struct EventRule {
   /// One-shot rules disarm after firing (typical for pickups and missions).
   bool once = false;
 };
+
+/// The rules one dispatch fired, in declaration order. Up to 8 sit in
+/// place, in the caller's frame; more spill to the heap. (Neither the
+/// session nor the shared book can hold this scratch: dispatch re-enters
+/// through scenario entry, and threads share the book.)
+using RuleMatches = SmallVector<const EventRule*, 8>;
 
 /// Evaluation strategy for rule guards (E6 ablation).
 enum class GuardEngine { kInterpreter, kCompiledVm };
@@ -48,20 +55,28 @@ class RuleBook {
   /// against `state`, in declaration order. `disarmed` carries the fired
   /// one-shot rule ids (owned by the caller/session so RuleBook stays
   /// immutable and shareable).
-  [[nodiscard]] std::vector<const EventRule*> match(
+  [[nodiscard]] RuleMatches match(
       const TriggerEvent& event, const GameStateView& state,
       const std::unordered_set<u32>& disarmed) const;
 
-  /// All timer triggers scoped to `scenario` (the session arms these on
-  /// scenario entry).
-  [[nodiscard]] std::vector<const EventRule*> timers_for(
-      ScenarioId scenario) const;
+  /// Calls `fn(rule)` for every timer trigger scoped to `scenario`, in
+  /// declaration order (the session arms these on scenario entry).
+  template <typename Fn>
+  void for_each_timer(ScenarioId scenario, Fn&& fn) const {
+    for (u32 i : timers_) {
+      const EventRule& r = rules_[i];
+      if (r.trigger.scenario.valid() && r.trigger.scenario != scenario) {
+        continue;
+      }
+      fn(r);
+    }
+  }
 
   [[nodiscard]] const EventRule* find(RuleId id) const;
 
   /// Whether `rule`'s guard passes against `state`, through the guard
   /// compiled at construction. `rule` must point into rules() (as the
-  /// results of find, match and timers_for do).
+  /// results of find, match and for_each_timer do).
   [[nodiscard]] bool guard_passes(const EventRule& rule,
                                   const GameStateView& state) const {
     return guard_passes(static_cast<size_t>(&rule - rules_.data()), state);
@@ -82,6 +97,7 @@ class RuleBook {
   GuardEngine engine_ = GuardEngine::kCompiledVm;
   std::unordered_map<u64, std::vector<u32>> index_;   // key -> rule indices
   std::vector<u32> type_wildcards_[16];               // per trigger type
+  std::vector<u32> timers_;                           // timer rule indices
 };
 
 }  // namespace vgbl

@@ -145,9 +145,16 @@ Result<ItemId> CombineTable::combine(Inventory& inventory, ItemId a,
   return rule->result;
 }
 
-void ScoreLedger::award(i64 points, std::string reason, MicroTime when) {
+void ScoreLedger::award(i64 points,
+                        std::initializer_list<std::string_view> reason_pieces,
+                        MicroTime when) {
   total_ += points;
-  entries_.push_back({points, std::move(reason), when});
+  entries_.push_back({points, when, text_.append(reason_pieces)});
+}
+
+ScoreLedger::Entry ScoreLedger::entry(size_t i) const {
+  const Record& r = entries_[i];
+  return {r.points, text_.view(r.reason), r.when};
 }
 
 }  // namespace vgbl

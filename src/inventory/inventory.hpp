@@ -5,12 +5,15 @@
 // completing requests/missions, and carry designer-configured bonuses.
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.hpp"
 #include "util/sim_clock.hpp"
+#include "util/text.hpp"
 #include "util/types.hpp"
 
 namespace vgbl {
@@ -108,21 +111,33 @@ class CombineTable {
 
 /// Append-only score history ("players can get bonus if they make the
 /// right decisions", §3.3). The lecturer-facing report reads the entries.
+/// Reasons sit in one TextBuffer, and each entry is a fixed-width record
+/// locating its reason there, so an award builds no string.
 class ScoreLedger {
  public:
-  void award(i64 points, std::string reason, MicroTime when);
+  /// An award whose reason is `reason_pieces` back to back.
+  void award(i64 points, std::initializer_list<std::string_view> reason_pieces,
+             MicroTime when);
   [[nodiscard]] i64 total() const { return total_; }
 
+  /// One award; `reason` views the ledger's text until the next award.
   struct Entry {
     i64 points;
-    std::string reason;
+    std::string_view reason;
     MicroTime when;
   };
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  [[nodiscard]] size_t size() const { return entries_.size(); }
+  [[nodiscard]] Entry entry(size_t i) const;
 
  private:
+  struct Record {
+    i64 points;
+    MicroTime when;
+    TextBuffer::Ref reason;
+  };
   i64 total_ = 0;
-  std::vector<Entry> entries_;
+  TextBuffer text_;
+  std::vector<Record> entries_;
 };
 
 }  // namespace vgbl

@@ -95,6 +95,13 @@ DecodePipeline::~DecodePipeline() { stop(); }
 
 void DecodePipeline::start(int first, int count) {
   stop();
+  pending_ = GopRange{first, count};
+}
+
+void DecodePipeline::begin_pending() {
+  const int first = pending_->first;
+  const int count = pending_->count;
+  pending_.reset();
   auto run = std::make_shared<Run>();
   run->plan = plan_gops(*container_, first, count);
   {
@@ -110,6 +117,7 @@ void DecodePipeline::start(int first, int count) {
 }
 
 void DecodePipeline::stop() {
+  pending_.reset();
   if (!run_) return;
   auto run = run_;
   {
@@ -127,6 +135,7 @@ void DecodePipeline::stop() {
 }
 
 std::optional<Frame> DecodePipeline::next_frame() {
+  if (pending_) begin_pending();
   if (!run_) return std::nullopt;
   auto run = run_;
   UniqueLock lock(run->mutex);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "concurrency/thread_pool.hpp"
@@ -59,18 +60,25 @@ class DecodePipeline {
   DecodePipeline(const DecodePipeline&) = delete;
   DecodePipeline& operator=(const DecodePipeline&) = delete;
 
-  /// Begins decoding `[first, first+count)`. Any active run is cancelled.
+  /// Requests `[first, first+count)`. Any active run is cancelled. Only
+  /// the range is recorded: the first next_frame() plans its GOPs and
+  /// builds the run, so a session that never reads a frame (a headless
+  /// bot) never pays for either.
   void start(int first, int count);
 
   /// Next frame in presentation order; nullopt at end-of-range or after
   /// `stop()`. Blocks while the decoder catches up.
   std::optional<Frame> next_frame();
 
-  /// Cancels the active run and drains workers, parked ones included.
+  /// Cancels the active run, or drops a range not yet begun, and drains
+  /// workers, parked ones included.
   void stop();
 
  private:
   struct Run;
+
+  /// Builds the run for the range start() recorded.
+  void begin_pending();
 
   /// Decodes one GOP into `run`'s reorder buffers, publishing frame by
   /// frame so a pooled consumer can present the first frame while the rest
@@ -80,6 +88,8 @@ class DecodePipeline {
   std::shared_ptr<const VideoContainer> container_;
   std::unique_ptr<ThreadPool> pool_;  ///< null in synchronous mode
   std::shared_ptr<Run> run_;
+  /// The range start() recorded and no next_frame() has begun yet.
+  std::optional<GopRange> pending_;
 };
 
 }  // namespace vgbl

@@ -30,37 +30,12 @@ Result<ObjectKind> object_kind_from_name(std::string_view name) {
   return corrupt_data("unknown object kind '" + std::string(name) + "'");
 }
 
-namespace {
-
-/// Shared topmost-selection rule: higher z wins; among equal z, the later
-/// target (painted later) wins.
-template <typename Candidates>
-ObjectId select_topmost(const Candidates& hits) {
-  ObjectId best;
-  i32 best_z = 0;
-  size_t best_order = 0;
-  bool found = false;
-  for (const auto& [order, target] : hits) {
-    if (!found || target->z > best_z ||
-        (target->z == best_z && order >= best_order)) {
-      best = target->id;
-      best_z = target->z;
-      best_order = order;
-      found = true;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 ObjectId LinearHitTester::hit(Point p) const {
-  std::vector<std::pair<size_t, const HitTarget*>> hits;
-  for (size_t i = 0; i < targets_.size(); ++i) {
-    const auto& t = targets_[i];
-    if (t.active && t.rect.contains(p)) hits.emplace_back(i, &t);
+  TopmostHit top;
+  for (const HitTarget& t : targets_) {
+    if (t.active && t.rect.contains(p)) top.offer(t);
   }
-  return select_topmost(hits);
+  return top.id();
 }
 
 std::vector<ObjectId> LinearHitTester::hit_all(Point p) const {
@@ -124,14 +99,7 @@ const std::vector<u32>* GridHitTester::cell_at(Point p) const {
 }
 
 ObjectId GridHitTester::hit(Point p) const {
-  const std::vector<u32>* cell = cell_at(p);
-  if (!cell) return {};
-  std::vector<std::pair<size_t, const HitTarget*>> hits;
-  for (u32 i : *cell) {
-    const auto& t = targets_[i];
-    if (t.active && t.rect.contains(p)) hits.emplace_back(i, &t);
-  }
-  return select_topmost(hits);
+  return hit_where(p, [](u32) { return true; });
 }
 
 std::vector<ObjectId> GridHitTester::hit_all(Point p) const {

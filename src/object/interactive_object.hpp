@@ -75,8 +75,9 @@ struct HitTarget {
 };
 
 /// Hit-testing strategy interface. Implementations must agree exactly; the
-/// grid index is the production path, the linear scan the oracle (property-
-/// tested equivalence, ablated in E7).
+/// grid index is the production path (one per scenario, built by
+/// `load_bundle`), the linear scan the oracle (property-tested
+/// equivalence, ablated in E7).
 class HitTester {
  public:
   virtual ~HitTester() = default;
@@ -86,6 +87,22 @@ class HitTester {
   [[nodiscard]] virtual ObjectId hit(Point p) const = 0;
   /// All active targets containing `p`, topmost first.
   [[nodiscard]] virtual std::vector<ObjectId> hit_all(Point p) const = 0;
+};
+
+/// The topmost rule every tester applies, over candidates offered in
+/// ascending target index: higher z wins, and among equal z the later
+/// target (painted later) wins.
+class TopmostHit {
+ public:
+  void offer(const HitTarget& t) {
+    if (best_ == nullptr || t.z >= best_->z) best_ = &t;
+  }
+  [[nodiscard]] ObjectId id() const {
+    return best_ != nullptr ? best_->id : ObjectId{};
+  }
+
+ private:
+  const HitTarget* best_ = nullptr;
 };
 
 /// O(n) reference implementation.
@@ -109,6 +126,22 @@ class GridHitTester final : public HitTester {
   void rebuild(const std::vector<HitTarget>& targets) override;
   [[nodiscard]] ObjectId hit(Point p) const override;
   [[nodiscard]] std::vector<ObjectId> hit_all(Point p) const override;
+
+  /// hit() restricted to the targets `keep(i)` accepts, `i` indexing the
+  /// targets of the last rebuild. Allocates nothing, so a grid built once
+  /// over every object that can ever show answers for whichever of them
+  /// show now.
+  template <typename Keep>
+  [[nodiscard]] ObjectId hit_where(Point p, Keep&& keep) const {
+    const std::vector<u32>* cell = cell_at(p);
+    if (cell == nullptr) return {};
+    TopmostHit top;
+    for (u32 i : *cell) {
+      const HitTarget& t = targets_[i];
+      if (t.active && t.rect.contains(p) && keep(i)) top.offer(t);
+    }
+    return top.id();
+  }
 
  private:
   [[nodiscard]] const std::vector<u32>* cell_at(Point p) const;

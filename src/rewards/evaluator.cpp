@@ -28,8 +28,8 @@ struct EvaluatorMetrics {
 
 /// Whether `rule.target` accepts an event with subject `name` and
 /// secondary attribute `detail`. Empty target = accept everything.
-bool target_matches(const RewardRule& rule, const std::string& name,
-                    const std::string& detail) {
+bool target_matches(const RewardRule& rule, std::string_view name,
+                    std::string_view detail) {
   return rule.target.empty() || rule.target == name || rule.target == detail;
 }
 
@@ -71,7 +71,7 @@ void RewardEvaluator::feed(const RewardEvent& event) {
                                        state_.scenarios_explored.end(),
                                        event.name);
       if (it == state_.scenarios_explored.end() || *it != event.name) {
-        state_.scenarios_explored.insert(it, event.name);
+        state_.scenarios_explored.insert(it, std::string(event.name));
       }
       for (u32 index : rules_->subscribed(TriggerKind::kScenariosExplored)) {
         if (state_.unlocked[index] != 0) continue;

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rewards/rules.hpp"
@@ -35,7 +36,9 @@ namespace vgbl::rewards {
 
 /// One semantic session event, as fed by GameSession. `name` is the
 /// primary subject (object/item/scenario/quiz name); `detail` is the
-/// secondary one (interaction kind, chosen reply text).
+/// secondary one (interaction kind, chosen reply text). Both are views
+/// (usually into the session's learning-tracker text) that must outlive
+/// the feed() call; the evaluator copies what it keeps.
 struct RewardEvent {
   enum class Kind : u8 {
     kScenarioEntered = 0,
@@ -47,8 +50,8 @@ struct RewardEvent {
     kQuizOutcome,
   };
   Kind kind = Kind::kInteraction;
-  std::string name;
-  std::string detail;
+  std::string_view name;
+  std::string_view detail;
   bool success = false;  ///< completion / quiz outcome
   MicroTime when = 0;    ///< sim-time of the event
 };

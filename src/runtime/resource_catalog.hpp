@@ -6,6 +6,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "util/sim_clock.hpp"
 #include "util/types.hpp"
@@ -43,9 +44,10 @@ class ResourceCatalog {
   std::map<std::string, WebResource> resources_;
 };
 
-/// One OpenUrl "fetch" as a session's access log records it.
+/// One OpenUrl "fetch" as a session's access log records it. `url` views
+/// the OpenUrl action's text in the session's bundle.
 struct ResourceAccess {
-  std::string url;
+  std::string_view url;
   MicroTime when;
   bool found;
 };

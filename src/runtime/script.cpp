@@ -1,6 +1,9 @@
 #include "runtime/script.hpp"
 
 #include <algorithm>
+#include <string_view>
+
+#include "util/text.hpp"
 
 namespace vgbl {
 
@@ -114,6 +117,123 @@ u64 state_signature(const GameSession& s) {
   return h;
 }
 
+/// An open-addressed hash set: linear probing over a power-of-two table
+/// kept at most half full, so a lookup or an insert allocates nothing until
+/// the table doubles. `Keys` hashes stored keys and probes (`hash`),
+/// compares a stored key with a probe (`equal`) and makes the key a new
+/// probe is stored as (`store`); a probe may be another type than the key.
+template <typename Key, typename Keys>
+class OpenSet {
+ public:
+  template <typename Probe>
+  [[nodiscard]] bool contains(const Probe& probe) const {
+    return !slots_.empty() && slots_[slot_for(probe)].used;
+  }
+  /// Adds `probe` unless an equal key is there; returns whether it did.
+  template <typename Probe>
+  bool insert(const Probe& probe) {
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    Slot& slot = slots_[slot_for(probe)];
+    if (slot.used) return false;
+    slot = {keys_.store(probe), true};
+    ++size_;
+    return true;
+  }
+  [[nodiscard]] size_t size() const { return size_; }
+
+ private:
+  struct Slot {
+    Key key{};
+    bool used = false;
+  };
+
+  /// The slot holding a key equal to `probe`, else the free slot that
+  /// ends its probe sequence.
+  template <typename Probe>
+  [[nodiscard]] size_t slot_for(const Probe& probe) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = keys_.hash(probe) & mask;
+    while (slots_[i].used && !keys_.equal(slots_[i].key, probe)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (!s.used) continue;
+      size_t i = keys_.hash(s.key) & mask;
+      while (slots_[i].used) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  Keys keys_;
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
+/// One attempted explorer action: what was done, to which object/item ids
+/// (`a` is the object, or the held item for use/combine; `b` the object
+/// used on or the second item, else 0), under which state signature.
+struct Tried {
+  enum Op : u8 { kExamine, kTake, kClick, kUse, kCombine };
+  Op op;
+  u32 a;
+  u32 b;
+  u64 sig;
+  bool operator==(const Tried&) const = default;
+};
+
+struct TriedKeys {
+  [[nodiscard]] u64 hash(const Tried& t) const {
+    u64 h = t.sig ^ (static_cast<u64>(t.op) << 56);
+    h ^= (static_cast<u64>(t.a) << 32 | t.b) * 0x9E3779B97F4A7C15ULL;
+    return h ^ (h >> 29);
+  }
+  [[nodiscard]] bool equal(const Tried& a, const Tried& b) const {
+    return a == b;
+  }
+  [[nodiscard]] Tried store(const Tried& t) const { return t; }
+};
+
+/// A dialogue reply the explorer has chosen: a line and the choice taken.
+struct Reply {
+  std::string_view line;
+  std::string_view choice;
+};
+
+/// Tried replies, stored as `line + "|" + choice` in one TextBuffer and
+/// probed by views, so a lookup builds no string.
+struct ReplyKeys {
+  TextBuffer text;
+
+  [[nodiscard]] static u64 fnv(u64 h, std::string_view s) {
+    for (char c : s) {
+      h ^= static_cast<u8>(c);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+  [[nodiscard]] u64 hash(TextBuffer::Ref key) const {
+    return fnv(14695981039346656037ULL, text.view(key));
+  }
+  [[nodiscard]] u64 hash(const Reply& r) const {
+    return fnv(fnv(fnv(14695981039346656037ULL, r.line), "|"), r.choice);
+  }
+  [[nodiscard]] bool equal(TextBuffer::Ref key, const Reply& r) const {
+    const std::string_view k = text.view(key);
+    return k.size() == r.line.size() + 1 + r.choice.size() &&
+           k.starts_with(r.line) && k[r.line.size()] == '|' &&
+           k.ends_with(r.choice);
+  }
+  TextBuffer::Ref store(const Reply& r) {
+    return text.append({r.line, "|", r.choice});
+  }
+};
+
 class ExplorerBot {
  public:
   ExplorerBot(GameSession& session, SimClock& clock, Rng rng, bool examine)
@@ -127,7 +247,9 @@ class ExplorerBot {
       // The explorer "studied": it answers deterministically by prompt
       // hash, which is stable but not always right — like a real student.
       const size_t n = q ? q->options.size() : 1;
-      (void)session_.answer_quiz(std::hash<std::string>{}(q ? q->prompt : "") % n);
+      (void)session_.answer_quiz(
+          std::hash<std::string_view>{}(q ? std::string_view(q->prompt) : "") %
+          n);
       return true;
     }
     if (session_.in_dialogue()) {
@@ -137,12 +259,12 @@ class ExplorerBot {
         // were tried across conversations, fall back to random.
         size_t pick = rng_.below(d->choices.size());
         for (size_t i = 0; i < d->choices.size(); ++i) {
-          if (!dialogue_tried_.count(d->line + "|" + d->choices[i])) {
+          if (!dialogue_tried_.contains(Reply{d->line, d->choices[i]})) {
             pick = i;
             break;
           }
         }
-        dialogue_tried_.insert(d->line + "|" + d->choices[pick]);
+        dialogue_tried_.insert(Reply{d->line, d->choices[pick]});
         (void)session_.choose_dialogue(pick);
       } else {
         (void)session_.advance_dialogue();
@@ -158,7 +280,7 @@ class ExplorerBot {
       return Point{c.x + origin.x, c.y + origin.y};
     };
 
-    const auto objects = session_.visible_objects();
+    const auto& objects = session_.visible_objects();
 
     // 1. Untried examines (knowledge first — this is a learning game).
     //    State-dependent so guarded examines (e.g. "reveals a hidden
@@ -219,14 +341,14 @@ class ExplorerBot {
     int best_count = 0;
     for (const auto* o : objects) {
       if (o->kind != ObjectKind::kButton) continue;
-      const int count = button_clicks_[o->id.value];
+      const int count = button_clicks(o->id.value);
       if (!best_button || count < best_count) {
         best_button = o;
         best_count = count;
       }
     }
     if (best_button) {
-      ++button_clicks_[best_button->id.value];
+      ++button_clicks(best_button->id.value);
       (void)session_.click(canvas_center(best_button));
       return true;
     }
@@ -234,36 +356,25 @@ class ExplorerBot {
   }
 
  private:
-  /// One attempted action: what was done, to which object/item ids (`a` is
-  /// the object, or the held item for use/combine; `b` the object used on
-  /// or the second item, else 0), under which state signature.
-  struct Tried {
-    enum Op : u8 { kExamine, kTake, kClick, kUse, kCombine };
-    Op op;
-    u32 a;
-    u32 b;
-    u64 sig;
-    bool operator==(const Tried&) const = default;
-  };
-  struct TriedHash {
-    size_t operator()(const Tried& t) const noexcept {
-      u64 h = t.sig ^ (static_cast<u64>(t.op) << 56);
-      h ^= (static_cast<u64>(t.a) << 32 | t.b) * 0x9E3779B97F4A7C15ULL;
-      return static_cast<size_t>(h ^ (h >> 29));
-    }
-  };
-
   /// Returns true (and records the attempt) when `action` has not been
   /// tried under its state signature yet.
-  bool mark(const Tried& action) { return tried_.insert(action).second; }
+  bool mark(const Tried& action) { return tried_.insert(action); }
+
+  /// Navigation clicks per button object so far (zero when absent).
+  int& button_clicks(u32 object) {
+    for (auto& [id, count] : button_clicks_) {
+      if (id == object) return count;
+    }
+    return button_clicks_.emplace_back(object, 0).second;
+  }
 
   GameSession& session_;
   SimClock& clock_;
   Rng rng_;
   bool examine_;
-  std::unordered_set<Tried, TriedHash> tried_;
-  std::unordered_set<std::string> dialogue_tried_;
-  std::unordered_map<u32, int> button_clicks_;
+  OpenSet<Tried, TriedKeys> tried_;
+  OpenSet<TextBuffer::Ref, ReplyKeys> dialogue_tried_;
+  std::vector<std::pair<u32, int>> button_clicks_;
 };
 
 class RandomBot {
@@ -285,7 +396,7 @@ class RandomBot {
       }
       return true;
     }
-    const auto objects = session_.visible_objects();
+    const auto& objects = session_.visible_objects();
     const Point origin = session_.ui().layout().video_area.origin();
     const u64 dice = rng_.below(10);
     if (!objects.empty() && dice < 7) {
@@ -350,17 +461,13 @@ struct BotDriver::Impl {
 
 BotDriver::BotDriver(GameSession& session, SimClock& clock, BotPolicy policy,
                      int max_steps, u64 seed)
-    : impl_(std::make_unique<Impl>(session, clock, policy, max_steps, seed)) {}
+    : impl_(std::make_unique<Impl>(session, clock, policy, max_steps, seed)),
+      done_(max_steps <= 0 || session.game_over()) {}
 
 BotDriver::~BotDriver() = default;
 
-bool BotDriver::done() const {
-  return impl_->partial.steps >= impl_->max_steps ||
-         impl_->session.game_over();
-}
-
 bool BotDriver::run_iteration() {
-  if (done()) return false;
+  if (done_) return false;
   Impl& im = *impl_;
   const bool acted = im.policy == BotPolicy::kRandom ? im.random.step()
                                                      : im.explorer.step();
@@ -375,6 +482,7 @@ bool BotDriver::run_iteration() {
       im.session.tick();
     }
   }
+  done_ = im.partial.steps >= im.max_steps || im.session.game_over();
   return true;
 }
 

@@ -6,7 +6,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/session.hpp"
@@ -164,8 +163,10 @@ class BotDriver {
   BotDriver(const BotDriver&) = delete;
   BotDriver& operator=(const BotDriver&) = delete;
 
-  /// True once the step budget is exhausted or the game ended.
-  [[nodiscard]] bool done() const;
+  /// True once the step budget is exhausted or the game ended. Read from a
+  /// flag run_iteration() keeps, so the check costs no pointer chase: the
+  /// driver is what advances its session.
+  [[nodiscard]] bool done() const { return done_; }
 
   /// Executes exactly one loop iteration: one bot action, the 300 ms
   /// advance + tick, and the idle-tick recovery when the bot was out of
@@ -179,6 +180,7 @@ class BotDriver {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
+  bool done_;
 };
 
 }  // namespace vgbl

@@ -1,7 +1,8 @@
 #include "runtime/session.hpp"
 
 #include <algorithm>
-#include <limits>
+
+#include "util/text.hpp"
 
 namespace vgbl {
 
@@ -34,7 +35,14 @@ GameSession::GameSession(std::shared_ptr<const GameBundle> bundle,
           {bundle_->video->width(), bundle_->video->height()})),
       inventory_(&bundle_->items, options.inventory_capacity),
       avatar_(options.avatar),
-      rewards_(options.reward_rules) {}
+      rewards_(options.reward_rules) {
+  // The log lines and text the median session of the classroom-repair
+  // district logs (93 lines, 2.4 KB; DESIGN.md §5i), rounded up to a power
+  // of two. visible_objects() never outgrows the largest scenario.
+  log_text_.reserve(4096);
+  log_entries_.reserve(128);
+  visible_.reserve(bundle_->max_scenario_objects);
+}
 
 Status GameSession::start() {
   if (started_) return failed_precondition("session already started");
@@ -57,61 +65,42 @@ Point GameSession::to_video(Point canvas) const {
   return {canvas.x - origin.x, canvas.y - origin.y};
 }
 
-bool GameSession::object_effectively_visible(
-    const InteractiveObject& o) const {
+bool GameSession::visible_at(const InteractiveObject& o, int frame) const {
   auto it = visibility_override_.find(o.id.value);
   const bool authored = it != visibility_override_.end()
                             ? it->second
                             : o.placement.visible;
-  return authored && o.placement.active_at(current_frame_index());
+  return authored && o.placement.active_at(frame);
+}
+
+bool GameSession::object_effectively_visible(
+    const InteractiveObject& o) const {
+  return visible_at(o, current_frame_index());
 }
 
 int GameSession::current_frame_index() const {
   return player_.playing() ? player_.frame_index_at(clock_->now()) : 0;
 }
 
-std::vector<const InteractiveObject*> GameSession::visible_objects() const {
-  std::vector<const InteractiveObject*> out;
-  for (const auto& o : bundle_->objects) {
-    if (o.scenario == current_ && object_effectively_visible(o)) {
-      out.push_back(&o);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const InteractiveObject* a, const InteractiveObject* b) {
-                     return a->placement.z < b->placement.z;
-                   });
-  return out;
-}
-
-void GameSession::rebuild_hit_index() const {
+const std::vector<const InteractiveObject*>& GameSession::visible_objects() {
+  visible_.clear();
+  if (scene_ == nullptr) return visible_;
   const int frame = current_frame_index();
-  if (hit_tester_ && frame == hit_index_frame_ &&
-      hit_index_built_epoch_ == hit_index_epoch_) {
-    return;
+  for (u32 i : scene_->paint_order) {
+    const InteractiveObject& o = bundle_->objects[i];
+    if (visible_at(o, frame)) visible_.push_back(&o);
   }
-  if (!hit_tester_) {
-    if (options_.hit_tester == HitTesterKind::kGrid) {
-      hit_tester_ = std::make_unique<GridHitTester>(
-          Size{bundle_->video->width(), bundle_->video->height()});
-    } else {
-      hit_tester_ = std::make_unique<LinearHitTester>();
-    }
-  }
-  std::vector<HitTarget> targets;
-  for (const auto& o : bundle_->objects) {
-    if (o.scenario != current_ || !object_effectively_visible(o)) continue;
-    targets.push_back({o.id, o.placement.rect, o.placement.z, true});
-  }
-  hit_tester_->rebuild(targets);
-  hit_index_frame_ = frame;
-  hit_index_built_epoch_ = hit_index_epoch_;
+  return visible_;
 }
 
 ObjectId GameSession::object_at(Point canvas_point) const {
-  if (!ui_.layout().video_area.contains(canvas_point)) return {};
-  rebuild_hit_index();
-  return hit_tester_->hit(to_video(canvas_point));
+  if (scene_ == nullptr || !ui_.layout().video_area.contains(canvas_point)) {
+    return {};
+  }
+  const int frame = current_frame_index();
+  return scene_->hits.hit_where(to_video(canvas_point), [&](u32 target) {
+    return visible_at(bundle_->objects[scene_->paint_order[target]], frame);
+  });
 }
 
 std::optional<Frame> GameSession::current_video_frame() {
@@ -119,19 +108,15 @@ std::optional<Frame> GameSession::current_video_frame() {
   return player_.current_frame(clock_->now());
 }
 
-void GameSession::log(std::string_view text) { log_at(clock_->now(), text); }
-
-void GameSession::log_at(MicroTime when, std::string_view text) {
-  log_entries_.push_back({when, static_cast<u32>(log_text_.size()),
-                          static_cast<u32>(text.size())});
-  log_text_.append(text);
+void GameSession::log(std::initializer_list<std::string_view> pieces) {
+  log_entries_.push_back({clock_->now(), log_text_.append(pieces)});
 }
 
 std::vector<SessionEvent> GameSession::event_log() const {
   std::vector<SessionEvent> out;
   out.reserve(log_entries_.size());
   for (const LogEntry& e : log_entries_) {
-    out.push_back({e.when, log_text_.substr(e.offset, e.length)});
+    out.push_back({e.when, std::string(log_text_.view(e.text))});
   }
   return out;
 }
@@ -147,18 +132,19 @@ void GameSession::sync_rewards_from_tracker() {
   const u32 items_from = rewards_.state().items_seen;
   const u32 decisions_from = rewards_.state().decisions_seen;
 
-  const auto& visits = tracker_.visits();
-  for (size_t i = visits_from; i < visits.size(); ++i) {
+  const size_t visits = tracker_.visit_count();
+  for (size_t i = visits_from; i < visits; ++i) {
+    const LearningTracker::Visit v = tracker_.visit(i);
     RewardEvent ev;
     ev.kind = RewardEvent::Kind::kScenarioEntered;
-    ev.name = visits[i].name;
-    ev.when = visits[i].entered;
+    ev.name = v.name;
+    ev.when = v.entered;
     rewards_.feed(ev);
   }
 
-  const auto& interactions = tracker_.interactions();
-  for (size_t i = interactions_from; i < interactions.size(); ++i) {
-    const auto& rec = interactions[i];
+  const size_t interactions = tracker_.interaction_count();
+  for (size_t i = interactions_from; i < interactions; ++i) {
+    const LearningTracker::Interaction rec = tracker_.interaction(i);
     RewardEvent ev;
     ev.kind = RewardEvent::Kind::kInteraction;
     ev.name = rec.target;
@@ -178,22 +164,23 @@ void GameSession::sync_rewards_from_tracker() {
 
   // Item records carry no timestamp; they are drained within the entry
   // point that collected them, so the clock still reads that moment.
-  const auto& items = tracker_.items_collected();
-  for (size_t i = items_from; i < items.size(); ++i) {
+  const size_t items = tracker_.item_count();
+  for (size_t i = items_from; i < items; ++i) {
     RewardEvent ev;
     ev.kind = RewardEvent::Kind::kItemCollected;
-    ev.name = items[i];
+    ev.name = tracker_.item(i);
     ev.when = clock_->now();
     rewards_.feed(ev);
   }
 
-  const auto& decisions = tracker_.decisions();
-  for (size_t i = decisions_from; i < decisions.size(); ++i) {
+  const size_t decisions = tracker_.decision_count();
+  for (size_t i = decisions_from; i < decisions; ++i) {
+    const LearningTracker::Decision d = tracker_.decision(i);
     RewardEvent ev;
     ev.kind = RewardEvent::Kind::kDialogueDecision;
-    ev.name = decisions[i].context;
-    ev.detail = decisions[i].choice;
-    ev.when = decisions[i].when;
+    ev.name = d.context;
+    ev.detail = d.choice;
+    ev.when = d.when;
     rewards_.feed(ev);
   }
 
@@ -206,10 +193,10 @@ void GameSession::sync_rewards_from_tracker() {
     rewards_.feed(ev);
   }
 
-  rewards_.mark_consumed(static_cast<u32>(interactions.size()),
-                         static_cast<u32>(items.size()),
-                         static_cast<u32>(decisions.size()),
-                         static_cast<u32>(visits.size()));
+  rewards_.mark_consumed(static_cast<u32>(interactions),
+                         static_cast<u32>(items),
+                         static_cast<u32>(decisions),
+                         static_cast<u32>(visits));
 }
 
 void GameSession::drain_rewards() {
@@ -224,13 +211,13 @@ void GameSession::drain_rewards() {
     if (fresh.empty()) break;
     for (const rewards::Unlock& u : fresh) {
       if (u.points != 0) {
-        ledger_.award(u.points, "badge '" + u.badge + "'", clock_->now());
-        tracker_.on_score(u.points, "badge '" + u.badge + "'", clock_->now());
+        ledger_.award(u.points, {"badge '", u.badge, "'"}, clock_->now());
+        tracker_.on_score(u.points, {"badge '", u.badge, "'"}, clock_->now());
       }
-      tracker_.on_reward("badge:" + u.badge, clock_->now());
-      ui_.show_message("Badge unlocked: " + u.badge + "!", clock_->now(),
+      tracker_.on_reward({"badge:", u.badge}, clock_->now());
+      ui_.show_message({"Badge unlocked: ", u.badge, "!"}, clock_->now(),
                        seconds(4));
-      log("badge '" + u.badge + "' unlocked");
+      log({"badge '", u.badge, "' unlocked"});
     }
   }
 }
@@ -238,25 +225,25 @@ void GameSession::drain_rewards() {
 void GameSession::enter_scenario(ScenarioId id) {
   const Scenario* s = bundle_->graph.find(id);
   if (!s) {
-    log("ERROR: switch to missing scenario " + std::to_string(id.value));
+    log({"ERROR: switch to missing scenario ", DecimalText(id.value)});
     return;
   }
   current_ = id;
+  scene_ = bundle_->objects_of(id);
   visited_.insert(id.value);
   scenario_entered_at_ = clock_->now();
   segment_end_fired_ = false;
-  hit_index_frame_ = -1;  // force hit index rebuild
   pending_interaction_.reset();
   if (options_.enable_avatar) {
     // The avatar enters each scene at its doorway (bottom-left corner).
     avatar_.set_position({40, bundle_->video->height() - 20});
   }
   if (auto st = player_.play_segment(s->segment, clock_->now()); !st.ok()) {
-    log("ERROR: cannot play segment for '" + s->name + "': " +
-        st.error().to_string());
+    log({"ERROR: cannot play segment for '", s->name, "': ",
+         st.error().to_string()});
   }
   tracker_.on_scenario_entered(id, s->name, clock_->now());
-  log("entered scenario '" + s->name + "'");
+  log({"entered scenario '", s->name, "'"});
   arm_timers();
 
   TriggerEvent ev;
@@ -270,26 +257,26 @@ void GameSession::enter_scenario(ScenarioId id) {
     game_over_ = true;
     success_ = true;
     tracker_.on_game_over(true, clock_->now());
-    log("game over: reached terminal scenario '" + s->name + "'");
+    log({"game over: reached terminal scenario '", s->name, "'"});
   }
 }
 
 void GameSession::arm_timers() {
   timers_.clear();
-  for (const EventRule* r : rule_book().timers_for(current_)) {
-    if (r->once && disarmed_.count(r->id.value)) continue;
-    timers_.push_back({r->id, scenario_entered_at_ + r->trigger.delay});
-  }
+  rule_book().for_each_timer(current_, [&](const EventRule& r) {
+    if (r.once && disarmed_.count(r.id.value)) return;
+    timers_.push_back({r.id, scenario_entered_at_ + r.trigger.delay});
+  });
 }
 
 void GameSession::dispatch(const TriggerEvent& event) {
   if (game_over_) return;
   StateView view(this);
-  const auto fired = rule_book().match(event, view, disarmed_);
+  const RuleMatches fired = rule_book().match(event, view, disarmed_);
   bool scenario_ended = false;
   for (const EventRule* rule : fired) {
     if (scenario_ended) break;
-    log("rule '" + rule->name + "' fired");
+    log({"rule '", rule->name, "' fired"});
     if (rule->once) disarmed_.insert(rule->id.value);
     for (const Action& action : rule->actions) {
       if (apply_action(action, rule)) {
@@ -308,12 +295,14 @@ void GameSession::dispatch(const TriggerEvent& event) {
   switch (event.type) {
     case TriggerType::kExamine:
       if (obj) {
-        const std::string text = obj->description.empty()
-                                     ? "You see " + obj->name + "."
-                                     : obj->description;
-        ui_.show_message(text, clock_->now(), seconds(4));
-        tracker_.on_interaction("examine", obj->name, clock_->now());
-        log("examined '" + obj->name + "'");
+        if (obj->description.empty()) {
+          ui_.show_message({"You see ", obj->name, "."}, clock_->now(),
+                           seconds(4));
+        } else {
+          ui_.show_message({obj->description}, clock_->now(), seconds(4));
+        }
+        tracker_.on_interaction("examine", {obj->name}, clock_->now());
+        log({"examined '", obj->name, "'"});
       }
       break;
     case TriggerType::kClick:
@@ -324,8 +313,8 @@ void GameSession::dispatch(const TriggerEvent& event) {
         (void)apply_action(Action::give_item(obj->grants_item), nullptr);
         (void)apply_action(Action::hide_object(obj->id), nullptr);
       } else if (obj) {
-        tracker_.on_interaction("click", obj->name, clock_->now());
-        log("clicked '" + obj->name + "' (no effect)");
+        tracker_.on_interaction("click", {obj->name}, clock_->now());
+        log({"clicked '", obj->name, "' (no effect)"});
       }
       break;
     case TriggerType::kDragToInventory:
@@ -346,24 +335,24 @@ bool GameSession::apply_action(const Action& action, const EventRule* source) {
       enter_scenario(action.scenario);
       return true;
     case ActionType::kShowMessage:
-      ui_.show_message(action.text, now, seconds(6));
-      log("message: " + action.text);
+      ui_.show_message({action.text}, now, seconds(6));
+      log({"message: ", action.text});
       break;
     case ActionType::kShowImage:
       ui_.show_image(action.text, now);
-      log("image popup: " + action.text);
+      log({"image popup: ", action.text});
       break;
     case ActionType::kOpenUrl: {
       const WebResource* page = resources().find(action.text);
       resource_log_.push_back({action.text, now, page != nullptr});
       if (page) {
-        ui_.show_message("[" + page->title + "] " + page->summary, now,
+        ui_.show_message({"[", page->title, "] ", page->summary}, now,
                          seconds(8));
         tracker_.on_resource_opened(page->title, now);
-        log("opened resource '" + page->title + "'");
+        log({"opened resource '", page->title, "'"});
       } else {
-        ui_.show_message("Page not found: " + action.text, now, seconds(4));
-        log("resource not found: " + action.text);
+        ui_.show_message({"Page not found: ", action.text}, now, seconds(4));
+        log({"resource not found: ", action.text});
       }
       break;
     }
@@ -371,53 +360,61 @@ bool GameSession::apply_action(const Action& action, const EventRule* source) {
       const int count = action.amount > 0 ? static_cast<int>(action.amount) : 1;
       const ItemDef* def = bundle_->items.find(action.item);
       if (auto st = inventory_.add(action.item, count); !st.ok()) {
-        ui_.show_message("Your backpack is full.", now, seconds(4));
-        log("give_item failed: " + st.error().to_string());
+        ui_.show_message({"Your backpack is full."}, now, seconds(4));
+        log({"give_item failed: ", st.error().to_string()});
         break;
       }
-      const std::string name = def ? def->name : "item";
+      const std::string_view name = def ? std::string_view(def->name) : "item";
       tracker_.on_item_collected(name, now);
       if (def && def->bonus_points != 0) {
-        ledger_.award(def->bonus_points, "collected " + name, now);
-        tracker_.on_score(def->bonus_points, "collected " + name, now);
+        ledger_.award(def->bonus_points, {"collected ", name}, now);
+        tracker_.on_score(def->bonus_points, {"collected ", name}, now);
       }
-      ui_.show_message("Got " + name + ".", now, seconds(3));
-      log("item '" + name + "' added to backpack");
+      ui_.show_message({"Got ", name, "."}, now, seconds(3));
+      log({"item '", name, "' added to backpack"});
       break;
     }
     case ActionType::kRemoveItem: {
       const int count = action.amount > 0 ? static_cast<int>(action.amount) : 1;
       if (auto st = inventory_.remove(action.item, count); !st.ok()) {
-        log("remove_item failed: " + st.error().to_string());
+        log({"remove_item failed: ", st.error().to_string()});
       }
       break;
     }
     case ActionType::kSetFlag:
       flags_.insert(action.text);
-      log("flag '" + action.text + "' set");
+      log({"flag '", action.text, "' set"});
       break;
     case ActionType::kClearFlag:
       flags_.erase(action.text);
-      log("flag '" + action.text + "' cleared");
+      log({"flag '", action.text, "' cleared"});
       break;
     case ActionType::kAddScore: {
-      const std::string reason =
-          !action.text.empty() ? action.text
-          : source             ? "rule '" + source->name + "'"
-                               : "bonus";
-      ledger_.award(action.amount, reason, now);
-      tracker_.on_score(action.amount, reason, now);
-      log("score " + std::to_string(action.amount) + " (" + reason + ")");
+      // The reason, in up to three pieces: the action's text, else the
+      // firing rule's name, else "bonus".
+      std::string_view reason[3] = {"bonus", "", ""};
+      if (!action.text.empty()) {
+        reason[0] = action.text;
+      } else if (source) {
+        reason[0] = "rule '";
+        reason[1] = source->name;
+        reason[2] = "'";
+      }
+      ledger_.award(action.amount, {reason[0], reason[1], reason[2]}, now);
+      tracker_.on_score(action.amount, {reason[0], reason[1], reason[2]}, now);
+      log({"score ", DecimalText(action.amount), " (", reason[0], reason[1],
+           reason[2], ")"});
       break;
     }
     case ActionType::kStartDialogue: {
       const DialogueTree* tree = bundle_->find_dialogue(action.dialogue);
       if (!tree) {
-        log("ERROR: missing dialogue " + std::to_string(action.dialogue.value));
+        log({"ERROR: missing dialogue ", DecimalText(action.dialogue.value)});
         break;
       }
       dialogue_ = ActiveDialogue{action.dialogue, DialogueRunner(tree), 0};
-      log("dialogue '" + tree->name() + "' started");
+      dialogue_->path.reserve(8);
+      log({"dialogue '", tree->name(), "' started"});
       drain_dialogue_tags();
       refresh_dialogue_view();
       break;
@@ -425,42 +422,41 @@ bool GameSession::apply_action(const Action& action, const EventRule* source) {
     case ActionType::kGrantReward: {
       const ItemDef* def = bundle_->items.find(action.item);
       if (auto st = inventory_.add(action.item); !st.ok()) {
-        log("grant_reward failed: " + st.error().to_string());
+        log({"grant_reward failed: ", st.error().to_string()});
         break;
       }
-      const std::string name = def ? def->name : "reward";
-      tracker_.on_reward(name, now);
+      const std::string_view name =
+          def ? std::string_view(def->name) : "reward";
+      tracker_.on_reward({name}, now);
       if (def && def->bonus_points != 0) {
-        ledger_.award(def->bonus_points, "reward: " + name, now);
-        tracker_.on_score(def->bonus_points, "reward: " + name, now);
+        ledger_.award(def->bonus_points, {"reward: ", name}, now);
+        tracker_.on_score(def->bonus_points, {"reward: ", name}, now);
       }
-      ui_.show_message("Achievement unlocked: " + name + "!", now, seconds(5));
-      log("reward '" + name + "' granted");
+      ui_.show_message({"Achievement unlocked: ", name, "!"}, now, seconds(5));
+      log({"reward '", name, "' granted"});
       break;
     }
     case ActionType::kRevealObject:
       visibility_override_[action.object.value] = true;
-      ++hit_index_epoch_;
-      log("object " + std::to_string(action.object.value) + " revealed");
+      log({"object ", DecimalText(action.object.value), " revealed"});
       break;
     case ActionType::kHideObject:
       visibility_override_[action.object.value] = false;
-      ++hit_index_epoch_;
-      log("object " + std::to_string(action.object.value) + " hidden");
+      log({"object ", DecimalText(action.object.value), " hidden"});
       break;
     case ActionType::kReplaySegment:
       (void)player_.replay(now);
       segment_end_fired_ = false;
-      log("segment replayed");
+      log({"segment replayed"});
       return true;
     case ActionType::kStartQuiz: {
       const Quiz* quiz = bundle_->find_quiz(action.quiz);
       if (!quiz) {
-        log("ERROR: missing quiz " + std::to_string(action.quiz.value));
+        log({"ERROR: missing quiz ", DecimalText(action.quiz.value)});
         break;
       }
       quiz_ = ActiveQuiz{action.quiz, QuizRunner(quiz)};
-      log("quiz '" + quiz->name() + "' started");
+      log({"quiz '", quiz->name(), "' started"});
       refresh_quiz_view();
       break;
     }
@@ -468,7 +464,7 @@ bool GameSession::apply_action(const Action& action, const EventRule* source) {
       game_over_ = true;
       success_ = action.success_outcome;
       tracker_.on_game_over(success_, now);
-      log(success_ ? "game over: success" : "game over: failure");
+      log({success_ ? "game over: success" : "game over: failure"});
       return true;
   }
   return false;
@@ -499,10 +495,10 @@ Status GameSession::click(Point canvas_point) {
       target.y = std::clamp(target.y, 0, va.height - 1);
       avatar_.walk_to(target, clock_->now());
       pending_interaction_.reset();
-      log("avatar walking to " + to_string(target));
+      log({"avatar walking to ", to_string(target)});
       return {};
     }
-    log("clicked empty space at " + to_string(to_video(canvas_point)));
+    log({"clicked empty space at ", to_string(to_video(canvas_point))});
     return {};
   }
   if (defer_if_out_of_reach(TriggerType::kClick, id, ItemId{})) return {};
@@ -522,7 +518,7 @@ bool GameSession::defer_if_out_of_reach(TriggerType type, ObjectId object,
   stand.y = std::clamp(stand.y, 0, va.height - 1);
   avatar_.walk_to(stand, clock_->now());
   pending_interaction_ = PendingInteraction{type, object, item};
-  log("avatar walking to '" + obj->name + "'");
+  log({"avatar walking to '", obj->name, "'"});
   return true;
 }
 
@@ -535,7 +531,8 @@ void GameSession::perform_object_interaction(TriggerType type, ObjectId id,
                                                        : "interact";
   if (type != TriggerType::kExamine) {
     // Examine default behaviour records itself; avoid double counting.
-    tracker_.on_interaction(verb, obj ? obj->name : "?", clock_->now());
+    tracker_.on_interaction(verb, {obj ? std::string_view(obj->name) : "?"},
+                            clock_->now());
   }
   TriggerEvent ev;
   ev.type = type;
@@ -564,10 +561,12 @@ Status GameSession::drag(Point canvas_from, Point canvas_to) {
   if (!id.valid()) return {};
   const InteractiveObject* obj = bundle_->find_object(id);
   if (!ui_.in_inventory_window(canvas_to)) {
-    log("dragged '" + (obj ? obj->name : "?") + "' nowhere useful");
+    log({"dragged '", obj ? std::string_view(obj->name) : "?",
+         "' nowhere useful"});
     return {};
   }
-  tracker_.on_interaction("drag_to_inventory", obj ? obj->name : "?",
+  tracker_.on_interaction("drag_to_inventory",
+                          {obj ? std::string_view(obj->name) : "?"},
                           clock_->now());
   TriggerEvent ev;
   ev.type = TriggerType::kDragToInventory;
@@ -591,10 +590,10 @@ Status GameSession::use_item_on(ItemId item, Point canvas_point) {
   if (defer_if_out_of_reach(TriggerType::kUseItemOn, id, item)) return {};
   const InteractiveObject* obj = bundle_->find_object(id);
   const ItemDef* def = bundle_->items.find(item);
-  tracker_.on_interaction(
-      "use_item",
-      (def ? def->name : "?") + std::string(" on ") + (obj ? obj->name : "?"),
-      clock_->now());
+  tracker_.on_interaction("use_item",
+                          {def ? std::string_view(def->name) : "?", " on ",
+                           obj ? std::string_view(obj->name) : "?"},
+                          clock_->now());
   TriggerEvent ev;
   ev.type = TriggerType::kUseItemOn;
   ev.object = id;
@@ -618,8 +617,7 @@ Status GameSession::combine_items(ItemId a, ItemId b) {
   ev.scenario = current_;
   ev.when = clock_->now();
   StateView view(this);
-  const auto fired = rule_book().match(ev, view, disarmed_);
-  if (!fired.empty()) {
+  if (!rule_book().match(ev, view, disarmed_).empty()) {
     dispatch(ev);
     drain_rewards();
     return {};
@@ -629,10 +627,10 @@ Status GameSession::combine_items(ItemId a, ItemId b) {
   auto result = bundle_->combines.combine(inventory_, a, b);
   if (!result.ok()) return result.error();
   const ItemDef* def = bundle_->items.find(result.value());
-  const std::string name = def ? def->name : "item";
-  tracker_.on_interaction("combine", name, clock_->now());
-  ui_.show_message("Created " + name + ".", clock_->now(), seconds(3));
-  log("combined items into '" + name + "'");
+  const std::string_view name = def ? std::string_view(def->name) : "item";
+  tracker_.on_interaction("combine", {name}, clock_->now());
+  ui_.show_message({"Created ", name, "."}, clock_->now(), seconds(3));
+  log({"combined items into '", name, "'"});
   drain_rewards();
   return {};
 }
@@ -649,7 +647,9 @@ void GameSession::drain_dialogue_tags() {
   // Tags may fire rules which start another dialogue; iterate carefully.
   while (dialogue_ &&
          dialogue_->consumed_tags < dialogue_->runner.fired_tags().size()) {
-    const std::string tag =
+    // The tag views the bundle's dialogue tree, so it outlives the runner
+    // that a rule fired by it may replace.
+    const std::string_view tag =
         dialogue_->runner.fired_tags()[dialogue_->consumed_tags++];
     TriggerEvent ev;
     ev.type = TriggerType::kDialogueTag;
@@ -662,16 +662,18 @@ void GameSession::drain_dialogue_tags() {
 
 void GameSession::refresh_dialogue_view() {
   if (!dialogue_ || !dialogue_->runner.active()) {
-    ui_.set_dialogue(std::nullopt);
+    ui_.hide_dialogue();
     if (dialogue_ && !dialogue_->runner.active()) dialogue_.reset();
     return;
   }
   const DialogueNode* node = dialogue_->runner.current();
-  DialogueView view;
-  view.speaker = node->speaker;
-  view.line = node->line;
-  for (const auto& c : node->choices) view.choices.push_back(c.text);
-  ui_.set_dialogue(std::move(view));
+  DialogueView& view = ui_.show_dialogue();
+  view.speaker.assign(node->speaker);
+  view.line.assign(node->line);
+  view.choices.resize(node->choices.size());
+  for (size_t i = 0; i < node->choices.size(); ++i) {
+    view.choices[i].assign(node->choices[i].text);
+  }
 }
 
 Status GameSession::advance_dialogue() {
@@ -688,16 +690,16 @@ Status GameSession::advance_dialogue() {
 Status GameSession::choose_dialogue(size_t index) {
   if (!dialogue_) return failed_precondition("no active dialogue");
   const DialogueNode* node = dialogue_->runner.current();
-  const std::string context = node ? node->line : "";
+  const std::string_view context = node ? std::string_view(node->line) : "";
   auto st = dialogue_->runner.choose(index);
   if (!st.ok()) return st;
   dialogue_->path.push_back(static_cast<u32>(index));
   // Record the decision for the learning report (§3.2: knowledge from the
   // process of making decisions).
   const auto& transcript = dialogue_->runner.transcript();
-  const std::string chosen =
-      transcript.empty() ? "" : transcript.back().chosen;
-  tracker_.on_decision(context, chosen, clock_->now());
+  const std::string_view chosen =
+      transcript.empty() ? "" : std::string_view(transcript.back().chosen);
+  tracker_.on_decision({context}, chosen, clock_->now());
   drain_dialogue_tags();
   refresh_dialogue_view();
   drain_rewards();
@@ -706,63 +708,61 @@ Status GameSession::choose_dialogue(size_t index) {
 
 void GameSession::refresh_quiz_view() {
   if (!quiz_ || quiz_->runner.finished()) {
-    ui_.set_quiz(std::nullopt);
+    ui_.hide_quiz();
     return;
   }
   const Quiz* quiz = bundle_->find_quiz(quiz_->id);
   const QuizQuestion* q = quiz_->runner.current();
-  QuizView view;
-  view.quiz_name = quiz->name();
-  view.prompt = q->prompt;
-  view.options = q->options;
+  QuizView& view = ui_.show_quiz();
+  view.quiz_name.assign(quiz->name());
+  view.prompt.assign(q->prompt);
+  view.options.resize(q->options.size());
+  for (size_t i = 0; i < q->options.size(); ++i) {
+    view.options[i].assign(q->options[i]);
+  }
   view.question_number = quiz_->runner.question_number();
   view.total_questions = quiz->size();
-  ui_.set_quiz(std::move(view));
 }
 
 Status GameSession::answer_quiz(size_t option) {
   if (!quiz_) return failed_precondition("no active quiz");
   const Quiz* quiz = bundle_->find_quiz(quiz_->id);
   const QuizQuestion* q = quiz_->runner.current();
-  const std::string prompt = q ? q->prompt : "";
+  const std::string_view prompt = q ? std::string_view(q->prompt) : "";
   auto correct = quiz_->runner.answer(option);
   if (!correct.ok()) return correct.error();
   quiz_->answers.push_back(static_cast<u32>(option));
 
-  const std::string chosen =
-      q && option < q->options.size() ? q->options[option] : "?";
-  tracker_.on_decision("[quiz] " + prompt, chosen, clock_->now());
+  const std::string_view chosen =
+      q && option < q->options.size() ? std::string_view(q->options[option])
+                                      : "?";
+  tracker_.on_decision({"[quiz] ", prompt}, chosen, clock_->now());
   if (q && !q->explanation.empty()) {
-    ui_.show_message((correct.value() ? "Correct! " : "Not quite. ") +
-                         q->explanation,
-                     clock_->now(), seconds(5));
+    ui_.show_message(
+        {correct.value() ? "Correct! " : "Not quite. ", q->explanation},
+        clock_->now(), seconds(5));
   }
-  log(std::string("quiz answer ") + (correct.value() ? "correct" : "wrong") +
-      ": " + chosen);
+  log({"quiz answer ", correct.value() ? "correct" : "wrong", ": ", chosen});
 
   if (quiz_->runner.finished()) {
     const QuizOutcome outcome = quiz_->runner.outcome();
     if (outcome.points_earned != 0) {
-      ledger_.award(outcome.points_earned, "quiz '" + quiz->name() + "'",
+      ledger_.award(outcome.points_earned, {"quiz '", quiz->name(), "'"},
                     clock_->now());
-      tracker_.on_score(outcome.points_earned, "quiz '" + quiz->name() + "'",
+      tracker_.on_score(outcome.points_earned, {"quiz '", quiz->name(), "'"},
                         clock_->now());
     }
     flags_.insert((outcome.passed ? "quiz_passed:" : "quiz_failed:") +
                   quiz->name());
-    ui_.show_message("Quiz '" + quiz->name() + "': " +
-                         std::to_string(outcome.correct_count) + "/" +
-                         std::to_string(outcome.total) +
-                         (outcome.passed ? " - passed!" : " - try again."),
+    const DecimalText correct_count(outcome.correct_count);
+    const DecimalText total(outcome.total);
+    ui_.show_message({"Quiz '", quiz->name(), "': ", correct_count, "/", total,
+                      outcome.passed ? " - passed!" : " - try again."},
                      clock_->now(), seconds(6));
     tracker_.on_interaction("quiz_result",
-                            quiz->name() + " " +
-                                std::to_string(outcome.correct_count) + "/" +
-                                std::to_string(outcome.total),
+                            {quiz->name(), " ", correct_count, "/", total},
                             clock_->now());
-    log("quiz '" + quiz->name() + "' finished: " +
-        std::to_string(outcome.correct_count) + "/" +
-        std::to_string(outcome.total));
+    log({"quiz '", quiz->name(), "' finished: ", correct_count, "/", total});
     quiz_.reset();
     // Quiz outcomes never surface as tracker records with a pass bit, so
     // the reward evaluator hears about them directly.
@@ -805,7 +805,7 @@ void GameSession::tick() {
           avatar_.can_reach(obj->placement.rect)) {
         perform_object_interaction(pending.type, pending.object, pending.item);
       } else {
-        log("pending interaction dropped (target gone)");
+        log({"pending interaction dropped (target gone)"});
       }
       if (game_over_) {
         drain_rewards();
@@ -835,7 +835,7 @@ void GameSession::tick() {
     if (rule->once && disarmed_.count(rule->id.value)) continue;
     if (!trigger_matches(rule->trigger, ev)) continue;
     if (!rule_book().guard_passes(*rule, StateView(this))) continue;
-    log("timer rule '" + rule->name + "' fired");
+    log({"timer rule '", rule->name, "' fired"});
     if (rule->once) disarmed_.insert(rule->id.value);
     for (const Action& action : rule->actions) {
       if (apply_action(action, rule)) break;
@@ -939,17 +939,16 @@ Status GameSession::load_state(const Json& snapshot) {
     visibility_override_[static_cast<u32>(oj["object"].as_int())] =
         oj["visible"].as_bool();
   }
-  ++hit_index_epoch_;
 
   ledger_ = ScoreLedger{};
   const i64 score = snapshot["score"].as_int();
-  if (score != 0) ledger_.award(score, "restored save", clock_->now());
+  if (score != 0) ledger_.award(score, {"restored save"}, clock_->now());
 
   game_over_ = snapshot["game_over"].as_bool(false);
   success_ = snapshot["success"].as_bool(false);
   started_ = true;
   dialogue_.reset();
-  ui_.set_dialogue(std::nullopt);
+  ui_.hide_dialogue();
 
   // Re-enter the saved scenario without re-firing enter events (the save
   // was taken mid-scenario; re-firing would duplicate one-shot effects —
@@ -957,14 +956,14 @@ Status GameSession::load_state(const Json& snapshot) {
   // are expected to be idempotent scene dressing; we restart the video).
   const Scenario* s = bundle_->graph.find(scenario);
   current_ = scenario;
+  scene_ = bundle_->objects_of(scenario);
   scenario_entered_at_ = clock_->now();
   segment_end_fired_ = false;
-  hit_index_frame_ = -1;
   if (auto st = player_.play_segment(s->segment, clock_->now()); !st.ok()) {
     return st;
   }
   arm_timers();
-  log("save state restored");
+  log({"save state restored"});
   return {};
 }
 
@@ -985,8 +984,10 @@ SessionState GameSession::capture_state() const {
   for (const auto& slot : inventory_.slots()) {
     s.inventory.push_back({slot.item.value, slot.count});
   }
-  for (const auto& e : ledger_.entries()) {
-    s.ledger.push_back({e.points, e.reason, e.when});
+  s.ledger.reserve(ledger_.size());
+  for (size_t i = 0; i < ledger_.size(); ++i) {
+    const ScoreLedger::Entry e = ledger_.entry(i);
+    s.ledger.push_back({e.points, std::string(e.reason), e.when});
   }
 
   // Sets are sorted so snapshots of equal states are byte-identical.
@@ -1043,7 +1044,7 @@ SessionState GameSession::capture_state() const {
   s.rewards = rewards_.state();
   s.log.reserve(log_entries_.size());
   for (const LogEntry& e : log_entries_) {
-    s.log.push_back({e.when, log_text_.substr(e.offset, e.length)});
+    s.log.push_back({e.when, std::string(log_text_.view(e.text))});
   }
   return s;
 }
@@ -1133,17 +1134,23 @@ Status GameSession::restore_state(const SessionState& state) {
     }
   }
 
-  // Log entries locate their text by u32 offsets into one buffer.
+  // The log, the ledger and the tracker each keep their text in one
+  // TextBuffer.
   u64 log_bytes = 0;
   for (const auto& e : state.log) log_bytes += e.text.size();
-  if (log_bytes > std::numeric_limits<u32>::max()) {
-    return corrupt_data("snapshot event log text exceeds 4 GiB");
+  u64 ledger_bytes = 0;
+  for (const auto& e : state.ledger) ledger_bytes += e.reason.size();
+  if (!TextBuffer::fits(log_bytes) || !TextBuffer::fits(ledger_bytes) ||
+      !TextBuffer::fits(state.tracker.text_bytes())) {
+    return corrupt_data("snapshot text exceeds a 4 GiB text buffer");
   }
 
   // Commit.
   inventory_ = std::move(inventory);
   ledger_ = ScoreLedger{};
-  for (const auto& e : state.ledger) ledger_.award(e.points, e.reason, e.when);
+  for (const auto& e : state.ledger) {
+    ledger_.award(e.points, {e.reason}, e.when);
+  }
   flags_.clear();
   flags_.insert(state.flags.begin(), state.flags.end());
   visited_.clear();
@@ -1160,6 +1167,7 @@ Status GameSession::restore_state(const SessionState& state) {
   }
 
   current_ = state.scenario;
+  scene_ = bundle_->objects_of(state.scenario);
   started_ = state.started;
   game_over_ = state.game_over;
   success_ = state.success;
@@ -1182,7 +1190,7 @@ Status GameSession::restore_state(const SessionState& state) {
   quiz_ = std::move(quiz);
 
   if (state.has_message) {
-    ui_.show_message(state.message_text, state.message_shown_at,
+    ui_.show_message({state.message_text}, state.message_shown_at,
                      state.message_timeout);
   } else {
     ui_.dismiss_message();
@@ -1200,15 +1208,17 @@ Status GameSession::restore_state(const SessionState& state) {
   if (rewards_.active() && !rewards_state_present) {
     // No rewards state to resume: skip the replayed tracker history so the
     // restored session does not retroactively unlock badges for it.
-    rewards_.mark_consumed(static_cast<u32>(tracker_.interactions().size()),
-                           static_cast<u32>(tracker_.items_collected().size()),
-                           static_cast<u32>(tracker_.decisions().size()),
-                           static_cast<u32>(tracker_.visits().size()));
+    rewards_.mark_consumed(static_cast<u32>(tracker_.interaction_count()),
+                           static_cast<u32>(tracker_.item_count()),
+                           static_cast<u32>(tracker_.decision_count()),
+                           static_cast<u32>(tracker_.visit_count()));
   }
   log_text_.clear();
   log_entries_.clear();
   log_entries_.reserve(state.log.size());
-  for (const auto& e : state.log) log_at(e.when, e.text);
+  for (const auto& e : state.log) {
+    log_entries_.push_back({e.when, log_text_.append({e.text})});
+  }
 
   if (state.player_active) {
     if (auto st = player_.play_segment(scenario->segment, state.player_start);
@@ -1219,8 +1229,6 @@ Status GameSession::restore_state(const SessionState& state) {
     player_.stop();
   }
 
-  hit_index_frame_ = -1;
-  ++hit_index_epoch_;
   return {};
 }
 

@@ -10,6 +10,7 @@
 // Designer rules run first and may add to or replace these defaults.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,13 +32,11 @@
 #include "runtime/session_state.hpp"
 #include "runtime/ui.hpp"
 #include "util/sim_clock.hpp"
+#include "util/text.hpp"
 
 namespace vgbl {
 
-enum class HitTesterKind { kLinear, kGrid };
-
 struct SessionOptions {
-  HitTesterKind hit_tester = HitTesterKind::kGrid;
   int inventory_capacity = 12;
   /// Decode pool size for the session's playback pipeline. 0 means no
   /// pool at all — frames decode synchronously on the caller's thread
@@ -152,11 +151,16 @@ class GameSession {
   }
 
   /// Objects of the current scenario visible at the current video frame,
-  /// in paint order (ascending z) — what the compositor draws.
-  [[nodiscard]] std::vector<const InteractiveObject*> visible_objects() const;
+  /// in paint order (ascending z) — what the compositor draws. Filtered
+  /// from the bundle's per-scenario list into storage the session reuses,
+  /// which is why this is not const: the reference stays valid until the
+  /// next call.
+  [[nodiscard]] const std::vector<const InteractiveObject*>&
+  visible_objects();
 
-  /// The object a canvas point lands on (through the configured hit
-  /// tester); invalid id when none or when the point is outside the video.
+  /// The topmost object visible now under a canvas point (the current
+  /// scenario's hit grid, built by load_bundle); invalid id when none or
+  /// when the point is outside the video.
   [[nodiscard]] ObjectId object_at(Point canvas_point) const;
 
   /// Current video frame (decoded through the segment player).
@@ -204,9 +208,10 @@ class GameSession {
   void arm_timers();
   void drain_dialogue_tags();
   void refresh_dialogue_view();
-  void rebuild_hit_index() const;
-  void log(std::string_view text);
-  void log_at(MicroTime when, std::string_view text);
+  /// Logs one line made of `pieces` back to back, appended straight into
+  /// the log buffer.
+  void log(std::initializer_list<std::string_view> pieces);
+  [[nodiscard]] bool visible_at(const InteractiveObject& o, int frame) const;
   [[nodiscard]] bool object_effectively_visible(
       const InteractiveObject& o) const;
   [[nodiscard]] Point to_video(Point canvas) const;
@@ -220,6 +225,10 @@ class GameSession {
   std::vector<ResourceAccess> resource_log_;
 
   ScenarioId current_;
+  /// The current scenario's object list and hit grid, in the bundle.
+  const ScenarioObjects* scene_ = nullptr;
+  /// visible_objects()'s result, reused call to call.
+  std::vector<const InteractiveObject*> visible_;
   bool started_ = false;
   bool game_over_ = false;
   bool success_ = false;
@@ -277,23 +286,15 @@ class GameSession {
   LearningTracker tracker_;
   rewards::RewardEvaluator rewards_;
 
-  /// The event log: every line's text back to back in one buffer, and one
+  /// The event log: every line's text in one TextBuffer, and one
   /// fixed-size entry per line locating it. event_log() and capture_state()
   /// render SessionEvents from these, byte for byte what was logged.
-  /// Offsets are u32: a 150-step bot session logs about 150 lines, 4 KB.
   struct LogEntry {
     MicroTime when;
-    u32 offset;
-    u32 length;
+    TextBuffer::Ref text;
   };
-  std::string log_text_;
+  TextBuffer log_text_;
   std::vector<LogEntry> log_entries_;
-
-  // Hit testing (rebuilt lazily when the frame index or object set moved).
-  mutable std::unique_ptr<HitTester> hit_tester_;
-  mutable int hit_index_frame_ = -1;
-  mutable u64 hit_index_epoch_ = 0;  // bumped on visibility changes
-  mutable u64 hit_index_built_epoch_ = ~0ULL;
 };
 
 }  // namespace vgbl

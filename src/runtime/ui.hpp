@@ -4,12 +4,14 @@
 // session mutates it.
 #pragma once
 
-#include <optional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/geometry.hpp"
 #include "util/sim_clock.hpp"
+#include "util/text.hpp"
 #include "util/types.hpp"
 
 namespace vgbl {
@@ -57,6 +59,30 @@ struct QuizView {
   size_t total_questions = 1;
 };
 
+/// An optional overlay whose storage outlives dismissal: showing the next
+/// one assigns into the strings and vectors the last one left, so a
+/// steady stream of popups stops allocating once capacities settle. Reads
+/// like std::optional.
+template <typename T>
+class Overlay {
+ public:
+  [[nodiscard]] bool has_value() const { return shown_; }
+  explicit operator bool() const { return shown_; }
+  const T& operator*() const { return value_; }
+  const T* operator->() const { return &value_; }
+
+  /// Marks the overlay shown and returns its storage to fill in.
+  T& show() {
+    shown_ = true;
+    return value_;
+  }
+  void reset() { shown_ = false; }
+
+ private:
+  T value_{};
+  bool shown_ = false;
+};
+
 class UiState {
  public:
   explicit UiState(UiLayout layout) : layout_(layout) {}
@@ -64,32 +90,40 @@ class UiState {
 
   [[nodiscard]] const UiLayout& layout() const { return layout_; }
 
-  void show_message(std::string text, MicroTime now, MicroTime timeout = 0) {
-    message_ = MessageBox{std::move(text), now, timeout};
+  /// Shows `pieces` back to back as one message.
+  void show_message(std::initializer_list<std::string_view> pieces,
+                    MicroTime now, MicroTime timeout = 0) {
+    MessageBox& m = message_.show();
+    m.text.clear();
+    append_pieces(m.text, pieces);
+    m.shown_at = now;
+    m.timeout = timeout;
   }
   void dismiss_message() { message_.reset(); }
   /// Expires timed-out popups; called from the session tick.
   void update(MicroTime now);
 
-  [[nodiscard]] const std::optional<MessageBox>& message() const {
-    return message_;
-  }
+  [[nodiscard]] const Overlay<MessageBox>& message() const { return message_; }
 
-  void show_image(std::string icon, MicroTime now) {
-    image_ = ImagePopup{std::move(icon), now};
+  void show_image(std::string_view icon, MicroTime now) {
+    ImagePopup& i = image_.show();
+    i.icon.assign(icon);
+    i.shown_at = now;
   }
   void dismiss_image() { image_.reset(); }
-  [[nodiscard]] const std::optional<ImagePopup>& image() const { return image_; }
+  [[nodiscard]] const Overlay<ImagePopup>& image() const { return image_; }
 
-  void set_dialogue(std::optional<DialogueView> view) {
-    dialogue_ = std::move(view);
-  }
-  [[nodiscard]] const std::optional<DialogueView>& dialogue() const {
+  /// Shows the dialogue overlay; the caller fills in the returned view.
+  DialogueView& show_dialogue() { return dialogue_.show(); }
+  void hide_dialogue() { dialogue_.reset(); }
+  [[nodiscard]] const Overlay<DialogueView>& dialogue() const {
     return dialogue_;
   }
 
-  void set_quiz(std::optional<QuizView> view) { quiz_ = std::move(view); }
-  [[nodiscard]] const std::optional<QuizView>& quiz() const { return quiz_; }
+  /// Shows the quiz overlay; the caller fills in the returned view.
+  QuizView& show_quiz() { return quiz_.show(); }
+  void hide_quiz() { quiz_.reset(); }
+  [[nodiscard]] const Overlay<QuizView>& quiz() const { return quiz_; }
 
   /// True when `p` lands in the inventory window (the drag-to-backpack
   /// target test).
@@ -99,10 +133,10 @@ class UiState {
 
  private:
   UiLayout layout_;
-  std::optional<MessageBox> message_;
-  std::optional<ImagePopup> image_;
-  std::optional<DialogueView> dialogue_;
-  std::optional<QuizView> quiz_;
+  Overlay<MessageBox> message_;
+  Overlay<ImagePopup> image_;
+  Overlay<DialogueView> dialogue_;
+  Overlay<QuizView> quiz_;
 };
 
 }  // namespace vgbl

@@ -58,9 +58,8 @@ void StudentActor::begin(Context& ctx) {
       abandon();
       return;
     }
-    driver_ = std::make_unique<BotDriver>(*session_, *clock_, policy_,
-                                          options_->max_steps_per_student,
-                                          bot_seed_);
+    driver_.emplace(*session_, *clock_, policy_,
+                    options_->max_steps_per_student, bot_seed_);
     phase_ = Phase::kPlay;
   } else {
     // Store-backed run, first half: fresh session through the store
@@ -72,9 +71,8 @@ void StudentActor::begin(Context& ctx) {
       return;
     }
     persisted_ = std::move(opened.value());
-    driver_ = std::make_unique<BotDriver>(
-        persisted_->session(), persisted_->clock(), policy_,
-        options_->max_steps_per_student / 2, bot_seed_);
+    driver_.emplace(persisted_->session(), persisted_->clock(), policy_,
+                    options_->max_steps_per_student / 2, bot_seed_);
     phase_ = Phase::kPlayFirst;
   }
   step(ctx);
@@ -105,18 +103,18 @@ void StudentActor::suspend_and_resume(Context& ctx) {
     return;
   }
   const int first_half_budget = options_->max_steps_per_student / 2;
-  driver_ = std::make_unique<BotDriver>(
-      persisted_->session(), persisted_->clock(), policy_,
-      options_->max_steps_per_student - first_half_budget, bot_seed_ + 1);
+  driver_.emplace(persisted_->session(), persisted_->clock(), policy_,
+                  options_->max_steps_per_student - first_half_budget,
+                  bot_seed_ + 1);
   phase_ = Phase::kPlaySecond;
   step(ctx);
 }
 
 void StudentActor::step(Context& ctx) {
-  if (driver_ != nullptr && !driver_->done()) {
+  if (driver_ && !driver_->done()) {
     driver_->run_iteration();
   }
-  if (driver_ == nullptr || driver_->done()) {
+  if (!driver_ || driver_->done()) {
     switch (phase_) {
       case Phase::kPlay:
       case Phase::kPlaySecond:

@@ -74,7 +74,8 @@ class StudentActor : public Actor {
   // Store-backed state.
   std::unique_ptr<PersistedSession> persisted_;
   BotResult first_half_;
-  std::unique_ptr<BotDriver> driver_;
+  /// In place, so the per-event done() check reads this actor's own memory.
+  std::optional<BotDriver> driver_;
   /// Wall time attributed to this student's events; accumulated only while
   /// metrics are on (measurement-only field, excluded from fingerprints).
   i64 wall_us_ = 0;

@@ -13,11 +13,15 @@
 // bot policy on each gen-corpus seed and each demo bundle. The classroom
 // fingerprints above never read the log, and snapshot ELOG bytes pin it
 // only for store-backed runs, so this is what keeps the log's text and
-// timing exact when its storage changes.
+// timing exact when its storage changes. A third table pins what the same
+// runs' learning trackers render: FNV-1a hashes of the lecturer report and
+// of the dumped JSON export, so the tracker's text is exact whatever its
+// record layout.
 //
 // Regenerating after an *intentional* behaviour change:
 //   VGBL_GOLDEN_PRINT=1 ./build/tests/classroom_golden_test
-// prints the replacement kGolden and kLogGolden tables; paste them below
+// prints the replacement kGolden, kLogGolden and kTrackerGolden tables
+// (tracker rows print prefixed `tracker`); paste them below
 // and say why in the commit message.
 #include <gtest/gtest.h>
 
@@ -268,6 +272,56 @@ constexpr LogRow kLogGolden[] = {
     // clang-format on
 };
 
+// (bundle, policy) -> FNV-1a of tracker().report(now) and of
+// tracker().to_json(now).dump(), at the end of the same bot run.
+struct TrackerRow {
+  const char* bundle;
+  const char* policy;
+  u64 report;
+  u64 json;
+};
+
+constexpr TrackerRow kTrackerGolden[] = {
+    // clang-format off
+    {"gen:7", "explorer", 18296523049394561168ULL, 12544520653331091007ULL},
+    {"gen:7", "random", 5493558833442055250ULL, 115949316044518526ULL},
+    {"gen:7", "speedrun", 16931669643308211569ULL, 9014064593620379271ULL},
+    {"gen:99", "explorer", 5746955793627165826ULL, 12749887101228618400ULL},
+    {"gen:99", "random", 11651945947050068236ULL, 12603358965326733864ULL},
+    {"gen:99", "speedrun", 7974445363878548734ULL, 12062345328430165507ULL},
+    {"gen:1234", "explorer", 9634056815506030196ULL, 10024956640658599749ULL},
+    {"gen:1234", "random", 2419187329197467683ULL, 14482065357161978625ULL},
+    {"gen:1234", "speedrun", 12402513158736263258ULL, 18088027024690594927ULL},
+    {"gen:31337", "explorer", 5784120517578416253ULL, 3463284802393726080ULL},
+    {"gen:31337", "random", 11695878279077381796ULL, 3465427749197304490ULL},
+    {"gen:31337", "speedrun", 9585043755908157900ULL, 2305434368665749950ULL},
+    {"gen:424242", "explorer", 12820543379265237302ULL, 16616762612803969819ULL},
+    {"gen:424242", "random", 9696758691497500634ULL, 4338811020093873895ULL},
+    {"gen:424242", "speedrun", 11270351426864671868ULL, 11191570575689080008ULL},
+    {"gen:987654321", "explorer", 11202796849777075643ULL, 9479892597650604142ULL},
+    {"gen:987654321", "random", 2101049867001219196ULL, 521777473299068759ULL},
+    {"gen:987654321", "speedrun", 13710133674577711322ULL, 7518638140491191651ULL},
+    {"gen:2718281828", "explorer", 15929124221588989968ULL, 8666293634130919096ULL},
+    {"gen:2718281828", "random", 18123093477460350033ULL, 17320585380372670279ULL},
+    {"gen:2718281828", "speedrun", 11995213327982191029ULL, 600502144840963405ULL},
+    {"gen:18446744073709551557", "explorer", 4817261089605351229ULL, 10406892590968294160ULL},
+    {"gen:18446744073709551557", "random", 14516177389528120987ULL, 5471226581581848843ULL},
+    {"gen:18446744073709551557", "speedrun", 17063967435087319737ULL, 11911474107015297071ULL},
+    {"demo:classroom", "explorer", 7533558648155160100ULL, 5167535885294373554ULL},
+    {"demo:classroom", "random", 9972177317297452421ULL, 18427241735961802759ULL},
+    {"demo:classroom", "speedrun", 4107472009449154486ULL, 6728952144941281624ULL},
+    {"demo:treasure", "explorer", 3055378460069434562ULL, 15473188147274928211ULL},
+    {"demo:treasure", "random", 12987146833875560243ULL, 8710373784788080565ULL},
+    {"demo:treasure", "speedrun", 14243532561675912337ULL, 5309362019491215489ULL},
+    {"demo:quickstart", "explorer", 15749978432257553221ULL, 18139024747207253089ULL},
+    {"demo:quickstart", "random", 8500686709025355788ULL, 2749883329300016430ULL},
+    {"demo:quickstart", "speedrun", 2470091163371812446ULL, 1267716316661201987ULL},
+    {"demo:quiz", "explorer", 2022927938322758294ULL, 13697619951886224557ULL},
+    {"demo:quiz", "random", 17118544156979463131ULL, 913101582850955316ULL},
+    {"demo:quiz", "speedrun", 17878250946476803801ULL, 8198607993935613850ULL},
+    // clang-format on
+};
+
 struct NamedPolicy {
   const char* name;
   BotPolicy policy;
@@ -276,11 +330,17 @@ constexpr NamedPolicy kPolicies[] = {{"explorer", BotPolicy::kExplorer},
                                      {"random", BotPolicy::kRandom},
                                      {"speedrun", BotPolicy::kSpeedrun}};
 
+struct BotRunHashes {
+  u64 log;
+  u64 report;
+  u64 json;
+};
+
 /// One storeless session driven by BotDriver to completion or budget, as a
 /// classroom student runs (synchronous decode, rewards inline).
-u64 bot_log_fingerprint(const std::shared_ptr<const GameBundle>& bundle,
-                        const rewards::RewardRuleSet* rules,
-                        BotPolicy policy) {
+BotRunHashes bot_run_hashes(const std::shared_ptr<const GameBundle>& bundle,
+                            const rewards::RewardRuleSet* rules,
+                            BotPolicy policy) {
   SimClock clock;
   SessionOptions options;
   options.reward_rules = rules;
@@ -290,7 +350,10 @@ u64 bot_log_fingerprint(const std::shared_ptr<const GameBundle>& bundle,
   BotDriver driver(session, clock, policy, /*max_steps=*/200, /*seed=*/5);
   while (driver.run_iteration()) {
   }
-  return log_fingerprint(session.event_log());
+  const MicroTime now = clock.now();
+  return {log_fingerprint(session.event_log()),
+          fnv1a(kFnvOffset, session.tracker().report(now)),
+          fnv1a(kFnvOffset, session.tracker().to_json(now).dump())};
 }
 
 void check_log_pins(const std::string& bundle_key,
@@ -298,10 +361,14 @@ void check_log_pins(const std::string& bundle_key,
                     const rewards::RewardRuleSet* rules) {
   const bool print = std::getenv("VGBL_GOLDEN_PRINT") != nullptr;
   for (const NamedPolicy& p : kPolicies) {
-    const u64 got = bot_log_fingerprint(bundle, rules, p.policy);
+    const BotRunHashes got = bot_run_hashes(bundle, rules, p.policy);
     if (print) {
       std::printf("    {\"%s\", \"%s\", %lluULL},\n", bundle_key.c_str(),
-                  p.name, static_cast<unsigned long long>(got));
+                  p.name, static_cast<unsigned long long>(got.log));
+      std::printf("    tracker {\"%s\", \"%s\", %lluULL, %lluULL},\n",
+                  bundle_key.c_str(), p.name,
+                  static_cast<unsigned long long>(got.report),
+                  static_cast<unsigned long long>(got.json));
       continue;
     }
     const LogRow* pin = std::find_if(
@@ -312,8 +379,21 @@ void check_log_pins(const std::string& bundle_key,
     ASSERT_NE(pin, std::end(kLogGolden))
         << "no event-log pin for " << bundle_key << " " << p.name
         << " — regenerate with VGBL_GOLDEN_PRINT=1";
-    EXPECT_EQ(got, pin->fingerprint)
+    EXPECT_EQ(got.log, pin->fingerprint)
         << "event log changed for " << bundle_key << ", " << p.name;
+    const TrackerRow* tpin =
+        std::find_if(std::begin(kTrackerGolden), std::end(kTrackerGolden),
+                     [&](const TrackerRow& row) {
+                       return row.bundle == bundle_key &&
+                              std::string_view(row.policy) == p.name;
+                     });
+    ASSERT_NE(tpin, std::end(kTrackerGolden))
+        << "no tracker pin for " << bundle_key << " " << p.name
+        << " — regenerate with VGBL_GOLDEN_PRINT=1";
+    EXPECT_EQ(got.report, tpin->report)
+        << "learning report changed for " << bundle_key << ", " << p.name;
+    EXPECT_EQ(got.json, tpin->json)
+        << "tracker JSON changed for " << bundle_key << ", " << p.name;
   }
 }
 

@@ -97,7 +97,7 @@ std::shared_ptr<const GameBundle> bundle_for(Result<Project> project,
 }
 
 /// Canvas-space centre of a visible object.
-Point object_center(const GameSession& session, const std::string& name) {
+Point object_center(GameSession& session, const std::string& name) {
   for (const InteractiveObject* o : session.visible_objects()) {
     if (o->name == name) {
       const Point c = o->placement.rect.center();

@@ -344,6 +344,28 @@ TEST(RuleBookTest, MatchesByObjectIndex) {
   EXPECT_EQ(hits[1]->id, RuleId{3});
 }
 
+TEST(RuleBookTest, MatchesPastInlineCapacityKeepDeclarationOrder) {
+  // Interleave exact-bucket and wildcard rules so the merge alternates, and
+  // match more than RuleMatches keeps in place.
+  Trigger any_click;
+  any_click.type = TriggerType::kClick;
+  std::vector<EventRule> rules;
+  for (u32 id = 1; id <= 20; ++id) {
+    rules.push_back(make_rule(id, id % 2 ? click_trigger(7) : any_click, {},
+                              /*once=*/id == 4));
+  }
+  RuleBook book(std::move(rules));
+  SimpleStateView s;
+  std::unordered_set<u32> disarmed{4};
+  const RuleMatches hits = book.match(click_event(7), s, disarmed);
+  ASSERT_EQ(hits.size(), 19u);
+  u32 want = 1;
+  for (const EventRule* r : hits) {
+    if (want == 4) ++want;  // disarmed
+    EXPECT_EQ(r->id, RuleId{want++});
+  }
+}
+
 TEST(RuleBookTest, WildcardRulesSeeEveryObject) {
   Trigger any_click;
   any_click.type = TriggerType::kClick;
@@ -395,8 +417,14 @@ TEST(RuleBookTest, TimersForScenario) {
   timer_scoped.scenario = ScenarioId{2};
   RuleBook book({make_rule(1, timer_any), make_rule(2, timer_scoped),
                  make_rule(3, click_trigger(1))});
-  EXPECT_EQ(book.timers_for(ScenarioId{1}).size(), 1u);
-  EXPECT_EQ(book.timers_for(ScenarioId{2}).size(), 2u);
+  const auto timers = [&](u32 scenario) {
+    std::vector<RuleId> ids;
+    book.for_each_timer(ScenarioId{scenario},
+                        [&](const EventRule& r) { ids.push_back(r.id); });
+    return ids;
+  };
+  EXPECT_EQ(timers(1), (std::vector<RuleId>{RuleId{1}}));
+  EXPECT_EQ(timers(2), (std::vector<RuleId>{RuleId{1}, RuleId{2}}));
 }
 
 TEST(RuleBookTest, FindById) {

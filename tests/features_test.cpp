@@ -270,8 +270,8 @@ TEST(QuizSessionTest, FullPassFlow) {
   // 3 × 10 quiz points + 50 badge bonus.
   EXPECT_EQ(session.score(), 80);
   // Decisions recorded per question for the lecturer's report.
-  EXPECT_EQ(session.tracker().decisions().size(), 3u);
-  EXPECT_EQ(session.tracker().rewards_earned().size(), 1u);
+  EXPECT_EQ(session.tracker().decision_count(), 3u);
+  EXPECT_EQ(session.tracker().reward_count(), 1u);
 }
 
 TEST(QuizSessionTest, FailAndRetake) {

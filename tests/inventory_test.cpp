@@ -296,14 +296,19 @@ TEST(CombineTest, SelfCombineNeedsTwo) {
 
 TEST(ScoreLedgerTest, AccumulatesWithHistory) {
   ScoreLedger ledger;
-  ledger.award(10, "found the key", seconds(1));
-  ledger.award(-3, "wrong answer", seconds(2));
-  ledger.award(50, "finished", seconds(3));
+  ledger.award(10, {"found the key"}, seconds(1));
+  ledger.award(-3, {"wrong answer"}, seconds(2));
+  ledger.award(50, {"finished"}, seconds(3));
   EXPECT_EQ(ledger.total(), 57);
-  ASSERT_EQ(ledger.entries().size(), 3u);
-  EXPECT_EQ(ledger.entries()[1].points, -3);
-  EXPECT_EQ(ledger.entries()[1].reason, "wrong answer");
-  EXPECT_EQ(ledger.entries()[2].when, seconds(3));
+  ASSERT_EQ(ledger.size(), 3u);
+  EXPECT_EQ(ledger.entry(1).points, -3);
+  EXPECT_EQ(ledger.entry(1).reason, "wrong answer");
+  EXPECT_EQ(ledger.entry(2).when, seconds(3));
+  ledger.award(5, {"quiz '", "maths", "'"}, seconds(4));
+  ASSERT_EQ(ledger.size(), 4u);
+  EXPECT_EQ(ledger.entry(3).reason, "quiz 'maths'");
+  EXPECT_EQ(ledger.entry(1).reason, "wrong answer");
+  EXPECT_EQ(ledger.total(), 62);
 }
 
 }  // namespace

@@ -146,6 +146,14 @@ TEST(LintFixtures, GuardCompiledOnceFires) {
   EXPECT_EQ(findings.size(), 2u);  // CompiledCondition + compile_condition
 }
 
+TEST(LintFixtures, HitGridBuiltOnceFires) {
+  const auto findings = lint_file("src/runtime/hit_grid_bad.cpp",
+                                  fixture("hit_grid_bad.cpp"), repo_rules());
+  expect_only(findings, "hit-grid-built-once");
+  // HitTarget, HitTester, GridHitTester, LinearHitTester: one line each.
+  EXPECT_EQ(findings.size(), 4u);
+}
+
 TEST(LintFixtures, RandomBadFires) {
   const auto findings = lint_file(
       "src/net/random_bad.cpp", fixture("random_bad.cpp"), repo_rules());

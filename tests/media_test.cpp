@@ -140,6 +140,22 @@ TEST_P(DecodePipelineTest, RestartResets) {
   EXPECT_EQ(pipeline.next_frame(), std::nullopt);
 }
 
+TEST_P(DecodePipelineTest, StartOnlyRecordsTheRange) {
+  // start() plans nothing: a range replaced or stopped before any
+  // next_frame() is never decoded, and the latest range is what plays.
+  auto c = make_container(2, 12);
+  const auto oracle = decode_all_sequential(*c);
+  DecodePipeline pipeline(c, GetParam());
+  pipeline.start(0, 12);
+  pipeline.stop();
+  EXPECT_EQ(pipeline.next_frame(), std::nullopt);
+  pipeline.start(0, 12);
+  pipeline.start(12, 2);
+  EXPECT_EQ(pipeline.next_frame(), oracle[12]);
+  EXPECT_EQ(pipeline.next_frame(), oracle[13]);
+  EXPECT_EQ(pipeline.next_frame(), std::nullopt);
+}
+
 INSTANTIATE_TEST_SUITE_P(Workers, DecodePipelineTest,
                          ::testing::Values(0u, 1u, 2u));
 

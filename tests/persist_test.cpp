@@ -170,8 +170,8 @@ void check_every_split(std::shared_ptr<const GameBundle> bundle,
     EXPECT_EQ(reference.flags(), second_half.flags());
     EXPECT_EQ(reference.current_scenario().value,
               second_half.current_scenario().value);
-    EXPECT_EQ(reference.tracker().interactions().size(),
-              second_half.tracker().interactions().size());
+    EXPECT_EQ(reference.tracker().interaction_count(),
+              second_half.tracker().interaction_count());
     if (rules != nullptr) {
       // The resumed session's unlock stream (REWD section feed) must be
       // byte-identical to the uninterrupted run's.

@@ -14,7 +14,7 @@ std::shared_ptr<const GameBundle> classroom_bundle() {
   return cached;
 }
 
-Point locate(const GameSession& session, const std::string& name) {
+Point locate(GameSession& session, const std::string& name) {
   for (const auto* o : session.visible_objects()) {
     if (o->name == name) {
       const Point c = o->placement.rect.center();

@@ -53,11 +53,12 @@ RewardRule make_rule(u32 id, TriggerKind trigger, i64 threshold = 1,
   return rule;
 }
 
-RewardEvent event(RewardEvent::Kind kind, std::string name, MicroTime when,
-                  bool success = false) {
+/// `name` must outlive the event (the tests pass literals).
+RewardEvent event(RewardEvent::Kind kind, std::string_view name,
+                  MicroTime when, bool success = false) {
   RewardEvent e;
   e.kind = kind;
-  e.name = std::move(name);
+  e.name = name;
   e.success = success;
   e.when = when;
   return e;

@@ -3,8 +3,12 @@
 // renderers, and the script runner.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/demo_games.hpp"
 #include "core/platform.hpp"
+#include "gen/generator.hpp"
 #include "runtime/compositor.hpp"
 #include "runtime/input.hpp"
 #include "runtime/render_text.hpp"
@@ -36,7 +40,7 @@ std::shared_ptr<const GameBundle> classroom_bundle() {
 }
 
 /// Canvas-space centre of a named object.
-Point object_center(const GameSession& session, const std::string& name) {
+Point object_center(GameSession& session, const std::string& name) {
   for (const auto* o : session.visible_objects()) {
     if (o->name == name) {
       const Point c = o->placement.rect.center();
@@ -100,7 +104,7 @@ TEST(UiTest, StandardLayoutGeometry) {
 
 TEST(UiTest, MessageTimeout) {
   UiState ui(UiLayout::standard({320, 240}));
-  ui.show_message("hello", seconds(1), seconds(2));
+  ui.show_message({"hello"}, seconds(1), seconds(2));
   EXPECT_TRUE(ui.message().has_value());
   ui.update(seconds(2));
   EXPECT_TRUE(ui.message().has_value());
@@ -110,7 +114,7 @@ TEST(UiTest, MessageTimeout) {
 
 TEST(UiTest, PersistentMessageStays) {
   UiState ui(UiLayout::standard({320, 240}));
-  ui.show_message("sticky", 0, 0);
+  ui.show_message({"sticky"}, 0, 0);
   ui.update(seconds(100));
   EXPECT_TRUE(ui.message().has_value());
   ui.dismiss_message();
@@ -194,19 +198,134 @@ TEST(SessionTest, ObjectAtFindsByCanvasPoint) {
           .valid());
 }
 
-TEST(SessionTest, LinearAndGridHitTestersAgreeInSession) {
-  SimClock clock_a, clock_b;
-  SessionOptions grid_opts;
-  grid_opts.hit_tester = HitTesterKind::kGrid;
-  SessionOptions linear_opts;
-  linear_opts.hit_tester = HitTesterKind::kLinear;
-  GameSession grid(quickstart_bundle(), &clock_a, grid_opts);
-  GameSession linear(quickstart_bundle(), &clock_b, linear_opts);
-  (void)grid.start();
-  (void)linear.start();
-  for (i32 y = 0; y < 256; y += 7) {
-    for (i32 x = 0; x < 400; x += 7) {
-      EXPECT_EQ(grid.object_at({x, y}), linear.object_at({x, y}));
+/// object_at against the oracle: a LinearHitTester over visible_objects()
+/// in paint order, at a lattice of canvas points plus each scenario
+/// object's centre, corners and the pixels just outside it.
+void expect_hits_match_oracle(GameSession& session, i32 step,
+                              const std::string& where) {
+  std::vector<HitTarget> targets;
+  for (const InteractiveObject* o : session.visible_objects()) {
+    targets.push_back({o->id, o->placement.rect, o->placement.z, true});
+  }
+  LinearHitTester oracle;
+  oracle.rebuild(targets);
+  const UiLayout& layout = session.ui().layout();
+  const Point origin = layout.video_area.origin();
+  std::vector<Point> probes;
+  for (i32 y = -3; y < layout.canvas.height + 3; y += step) {
+    for (i32 x = -3; x < layout.canvas.width + 3; x += step) {
+      probes.push_back({x, y});
+    }
+  }
+  for (const InteractiveObject& o : session.bundle().objects) {
+    if (o.scenario != session.current_scenario()) continue;
+    const Rect r = o.placement.rect;
+    for (const Point v : {r.center(), Point{r.x, r.y},
+                          Point{r.right() - 1, r.bottom() - 1},
+                          Point{r.x - 1, r.y}, Point{r.right(), r.bottom()}}) {
+      probes.push_back({v.x + origin.x, v.y + origin.y});
+    }
+  }
+  int mismatches = 0;
+  for (const Point p : probes) {
+    const ObjectId want = layout.video_area.contains(p)
+                              ? oracle.hit({p.x - origin.x, p.y - origin.y})
+                              : ObjectId{};
+    if (session.object_at(p) != want) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0) << where << " (" << probes.size() << " probes)";
+}
+
+std::vector<std::pair<std::string, std::shared_ptr<const GameBundle>>>
+oracle_bundles() {
+  std::vector<std::pair<std::string, std::shared_ptr<const GameBundle>>> out;
+  out.emplace_back("demo:quickstart", quickstart_bundle());
+  out.emplace_back("demo:classroom", classroom_bundle());
+  out.emplace_back("demo:treasure",
+                   publish(build_treasure_hunt_project().value()).value());
+  out.emplace_back("demo:quiz",
+                   publish(build_science_quiz_project().value()).value());
+  std::ifstream in(VGBL_GEN_SEEDS_PATH);
+  EXPECT_TRUE(in.good()) << "missing " << VGBL_GEN_SEEDS_PATH;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    std::istringstream row(line);
+    u64 seed = 0;
+    if (!(row >> seed)) continue;
+    auto course = gen::generate_course(gen::corpus_course_params(seed, 0),
+                                       gen::corpus_course_seed(seed, 0));
+    EXPECT_TRUE(course.ok()) << "seed " << seed;
+    if (!course.ok()) continue;
+    auto bundle = publish(course.value().project);
+    EXPECT_TRUE(bundle.ok()) << "seed " << seed;
+    if (bundle.ok()) out.emplace_back("gen:" + std::to_string(seed), bundle.value());
+  }
+  return out;
+}
+
+TEST(SessionTest, ObjectAtMatchesLinearOracleOnEveryScenario) {
+  // Every scenario of every demo and gen-corpus bundle, entered through a
+  // save-state jump, at the first, middle and last frame of its segment,
+  // under three visibility states: as authored, every other object hidden,
+  // and every object revealed (the overrides hide/reveal actions set).
+  for (const auto& [name, bundle] : oracle_bundles()) {
+    for (const Scenario& scenario : bundle->graph.scenarios()) {
+      const ContainerSegment* seg = bundle->video->segment_by_id(scenario.segment);
+      ASSERT_NE(seg, nullptr);
+      const ScenarioObjects* scene = bundle->objects_of(scenario.id);
+      ASSERT_NE(scene, nullptr);
+      for (int mode = 0; mode < 3; ++mode) {
+        JsonArray overrides;
+        for (size_t k = 0; k < scene->paint_order.size() && mode > 0; ++k) {
+          Json oj = Json::object();
+          oj.mutable_object().set(
+              "object", Json(bundle->objects[scene->paint_order[k]].id.value));
+          oj.mutable_object().set("visible", Json(mode == 2 || k % 2 == 0));
+          overrides.push_back(std::move(oj));
+        }
+        for (const int frame : {0, seg->frame_count / 2, seg->frame_count - 1}) {
+          SimClock clock;
+          GameSession session(bundle, &clock);
+          ASSERT_TRUE(session.start().ok());
+          Json snap = session.save_state();
+          snap.mutable_object().set("current_scenario", Json(scenario.id.value));
+          snap.mutable_object().set("game_over", Json(false));
+          snap.mutable_object().set("visibility", Json(overrides));
+          ASSERT_TRUE(session.load_state(snap).ok());
+          const MicroTime fps = bundle->video->fps();
+          clock.advance((static_cast<MicroTime>(frame) * 1'000'000 + fps - 1) /
+                        fps);
+          ASSERT_EQ(session.current_frame_index(),
+                    std::min(frame, std::max(0, seg->frame_count - 1)))
+              << name << " scenario '" << scenario.name << "'";
+          expect_hits_match_oracle(
+              session, 5,
+              name + " scenario '" + scenario.name + "' visibility mode " +
+                  std::to_string(mode) + " frame " + std::to_string(frame));
+        }
+      }
+    }
+  }
+}
+
+TEST(SessionTest, ObjectAtMatchesLinearOracleThroughBotPlay) {
+  // The same oracle after every step of bot play, where pickups hide
+  // objects and designer rules reveal and hide them.
+  for (const auto& [name, bundle] : oracle_bundles()) {
+    for (const BotPolicy policy : {BotPolicy::kExplorer, BotPolicy::kRandom}) {
+      SimClock clock;
+      SessionOptions options;
+      options.decode_threads = 0;
+      GameSession session(bundle, &clock, options);
+      ASSERT_TRUE(session.start().ok());
+      BotDriver driver(session, clock, policy, /*max_steps=*/40, /*seed=*/3);
+      int step = 0;
+      do {
+        expect_hits_match_oracle(session, 9,
+                                 name + " step " + std::to_string(step++));
+      } while (driver.run_iteration());
     }
   }
 }
@@ -632,11 +751,11 @@ TEST(AnalyticsTest, TracksVisitsAndDecisions) {
   clock.advance(seconds(3));
 
   const LearningTracker& t = session.tracker();
-  ASSERT_EQ(t.visits().size(), 2u);
-  EXPECT_EQ(t.visits()[0].name, "classroom");
-  EXPECT_EQ(t.visits()[1].name, "market");
-  ASSERT_EQ(t.decisions().size(), 1u);
-  EXPECT_EQ(t.decisions()[0].choice, "I will fix it.");
+  ASSERT_EQ(t.visit_count(), 2u);
+  EXPECT_EQ(t.visit(0).name, "classroom");
+  EXPECT_EQ(t.visit(1).name, "market");
+  ASSERT_EQ(t.decision_count(), 1u);
+  EXPECT_EQ(t.decision(0).choice, "I will fix it.");
   const auto time = t.time_per_scenario(clock.now());
   EXPECT_GT(time.at("classroom"), 1.5);
   EXPECT_GT(time.at("market"), 2.5);
@@ -647,6 +766,46 @@ TEST(AnalyticsTest, TracksVisitsAndDecisions) {
 
   const Json json = t.to_json(clock.now());
   EXPECT_EQ(json["visits"].as_array().size(), 2u);
+}
+
+TEST(AnalyticsTest, StateRoundTripRendersTheSame) {
+  // Records built from pieces, a custom interaction kind and a score whose
+  // reason gains its points suffix: the plain-data State carries them out,
+  // and a tracker restored from it renders the same report and JSON.
+  LearningTracker t;
+  t.on_scenario_entered(ScenarioId{1}, "classroom", seconds(0));
+  t.on_interaction("click", {"teacher"}, seconds(1));
+  t.on_interaction("use_item", {"key", " on ", "door"}, seconds(2));
+  t.on_interaction("custom", {"thing"}, seconds(3));
+  t.on_decision({"[quiz] ", "2+2?"}, "4", seconds(4));
+  t.on_item_collected("coin", seconds(5));
+  t.on_score(-3, {"quiz '", "maths", "'"}, seconds(6));
+  t.on_reward({"badge:", "explorer"}, seconds(7));
+  t.on_resource_opened("Power supplies", seconds(8));
+  t.on_scenario_entered(ScenarioId{2}, "market", seconds(9));
+  t.on_game_over(true, seconds(12));
+
+  ASSERT_EQ(t.interaction_count(), 7u);
+  EXPECT_EQ(t.interaction(1).target, "key on door");
+  EXPECT_EQ(t.interaction(2).kind, "custom");
+  EXPECT_EQ(t.interaction(4).kind, "score");
+  EXPECT_EQ(t.interaction(4).target, "quiz 'maths' (-3)");
+  EXPECT_EQ(t.decision(0).context, "[quiz] 2+2?");
+  EXPECT_EQ(t.item(0), "coin");
+  EXPECT_EQ(t.reward(0), "badge:explorer");
+  EXPECT_EQ(t.visit(0).left, seconds(9));
+  EXPECT_EQ(t.visit(1).left, seconds(12));
+  EXPECT_EQ(t.total_score(), -3);
+
+  const LearningTracker::State state = t.state();
+  ASSERT_EQ(state.interactions.size(), 7u);
+  EXPECT_EQ(state.interactions[4].target, "quiz 'maths' (-3)");
+  LearningTracker restored;
+  restored.restore(state);
+  EXPECT_EQ(restored.report(seconds(20)), t.report(seconds(20)));
+  EXPECT_EQ(restored.to_json(seconds(20)).dump(), t.to_json(seconds(20)).dump());
+  EXPECT_EQ(restored.state().interactions[2].kind, "custom");
+  EXPECT_TRUE(TextBuffer::fits(state.text_bytes()));
 }
 
 // --- Compositor & text renderers ---------------------------------------------------

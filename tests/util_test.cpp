@@ -447,6 +447,34 @@ TEST(TextTest, EscapeJson) {
   EXPECT_EQ(escape_json(std::string(1, '\x01')), "\\u0001");
 }
 
+TEST(TextTest, DecimalTextMatchesToString) {
+  for (const long long v : {0LL, 7LL, -3LL, 1234567890123LL, -9223372036854775807LL - 1}) {
+    EXPECT_EQ(DecimalText(v).view(), std::to_string(v));
+  }
+  EXPECT_EQ(DecimalText(18446744073709551615ULL).view(),
+            std::to_string(18446744073709551615ULL));
+  std::string line = "score ";
+  append_pieces(line, {DecimalText(-5), " (", "bonus", ")"});
+  EXPECT_EQ(line, "score -5 (bonus)");
+}
+
+TEST(TextTest, TextBufferLocatesEachString) {
+  TextBuffer buf;
+  const TextBuffer::Ref a = buf.append({"item '", "coin", "'"});
+  const TextBuffer::Ref empty = buf.append({});
+  const TextBuffer::Ref b = buf.append({"badge"});
+  const TextBuffer::Ref c = buf.append({" (", DecimalText(12), ")"});
+  EXPECT_EQ(buf.view(a), "item 'coin'");
+  EXPECT_EQ(buf.view(empty), "");
+  EXPECT_EQ(buf.view(b), "badge");
+  // Two appends in a row are adjacent, so their refs join.
+  EXPECT_EQ(buf.view({b.offset, b.length + c.length}), "badge (12)");
+  buf.clear();
+  EXPECT_EQ(buf.view(buf.append({"again"})), "again");
+  EXPECT_TRUE(TextBuffer::fits(0xFFFFFFFFULL));
+  EXPECT_FALSE(TextBuffer::fits(0x100000000ULL));
+}
+
 TEST(TextTest, PadRight) {
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_right("abcdef", 3), "abc");
