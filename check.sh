@@ -8,7 +8,8 @@
 #
 #   ./check.sh          # everything
 #   ./check.sh fast     # default tree: tier1 + vgbl-lint + bench-diff gate
-#   ./check.sh lint     # static analysis only (vgbl-lint + clang TSA)
+#   ./check.sh lint     # static analysis only (vgbl-lint + clang TSA, plus
+#                       # the codec golden pins in the clang tree)
 #   ./check.sh ubsan    # tier1 under UBSan with reports fatal (build-ubsan/)
 #   ./check.sh bench    # perf regression gate only (bench-diff)
 #   ./check.sh pgo      # profile-guided build exercise (build-pgo/, optional)
@@ -111,6 +112,11 @@ lint_gate() {
     echo "=== lint: clang -Werror=thread-safety (build-clang-tsa) ==="
     cmake --preset build-clang-tsa >/dev/null
     cmake --build build-clang-tsa -j "${JOBS}"
+    # The DCT kernels' bit-exact contract (src/video/dct.hpp) relies on the
+    # compiler neither contracting nor reassociating float sums; the other
+    # trees are all gcc, so check the pinned bitstream and pixels here too.
+    echo "=== lint: codec golden pins under clang (build-clang-tsa) ==="
+    ./build-clang-tsa/tests/codec_golden_test
   else
     echo "=== lint: clang++ not installed; skipping thread-safety tree ==="
   fi

@@ -67,8 +67,10 @@ class BitWriter {
 /// Accumulator-based reader: bytes are pulled into a 64-bit MSB-first
 /// window so `ue`/`se`/`bits` run on shifts and a count-leading-zeros
 /// instead of one bounds-checked call per bit. This is the video codec's
-/// entropy-decode hot loop (ISSUE 9); parsing semantics and error
-/// behaviour are unchanged from the per-bit reader it replaced.
+/// entropy-decode hot loop; parsing semantics and error behaviour are
+/// unchanged from the per-bit reader it replaced. An exp-Golomb code that
+/// fits the window is taken in one step; a longer one, or one at the end of
+/// the stream, reads its suffix through `bits()`.
 class BitReader {
  public:
   explicit BitReader(std::span<const u8> data) : data_(data) {}
@@ -101,15 +103,14 @@ class BitReader {
     const int avail = acc_bits_;
     const u64 window = avail == 0 ? 0 : acc_ << (64 - avail);
     const int zeros = window == 0 ? avail : std::countl_zero(window);
-    if (zeros > 32) return corrupt_data("exp-golomb prefix too long");
-    // refill() tops up to > 56 bits whenever bytes remain, so a prefix
-    // spanning the whole window means the stream ended mid-code.
-    if (zeros >= avail) return exhausted();
-    acc_bits_ -= zeros + 1;  // consume the zero prefix and its 1 terminator
-    auto rest = bits(zeros);
-    if (!rest.ok()) return rest.error();
-    const u64 x = (1ULL << zeros) | rest.value();
-    return static_cast<u32>(x - 1);
+    const int len = 2 * zeros + 1;
+    if (len <= avail) {
+      // The whole code is in the window: its bits are 1 << zeros plus the
+      // suffix, read with one shift and mask.
+      acc_bits_ -= len;
+      return static_cast<u32>(((acc_ >> acc_bits_) & mask(len)) - 1);
+    }
+    return ue_past_window(zeros, avail);
   }
 
   [[nodiscard]] Result<i32> se() {
@@ -129,6 +130,20 @@ class BitReader {
   }
 
   static Error exhausted() { return corrupt_data("bitstream exhausted"); }
+
+  /// The rest of `ue()` for a code longer than the window: a prefix of
+  /// `zeros` zero bits was found in the `avail` bits after a refill.
+  [[nodiscard]] Result<u32> ue_past_window(int zeros, int avail) {
+    if (zeros > 32) return corrupt_data("exp-golomb prefix too long");
+    // refill() tops up to > 56 bits whenever bytes remain, so a prefix
+    // spanning the whole window means the stream ended mid-code.
+    if (zeros >= avail) return exhausted();
+    acc_bits_ -= zeros + 1;  // consume the zero prefix and its 1 terminator
+    auto rest = bits(zeros);
+    if (!rest.ok()) return rest.error();
+    const u64 x = (1ULL << zeros) | rest.value();
+    return static_cast<u32>(x - 1);
+  }
 
   void refill() {
     while (acc_bits_ <= 56 && byte_pos_ < data_.size()) {

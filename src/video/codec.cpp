@@ -45,13 +45,17 @@ Status rle_decode(std::span<const u8> in, std::span<u8> out) {
   return {};
 }
 
+/// What a coded block holds, which decides how it reconstructs: nothing, a
+/// DC term alone (one value at every sample), or AC terms as well (the
+/// inverse transform).
+enum class BlockKind : u8 { kEmpty, kDcOnly, kAc };
+
 /// Encodes one quantised block: DC then (zero-run, level) AC pairs with an
-/// EOB sentinel (run==63 cannot precede a 64th coefficient). Returns
-/// whether any coefficient is nonzero.
-bool encode_block(BitWriter& bw, const QuantBlock& q) {
+/// EOB sentinel (run==63 cannot precede a 64th coefficient).
+BlockKind encode_block(BitWriter& bw, const QuantBlock& q) {
   const auto& zz = zigzag_order();
   bw.put_se(q[zz[0]]);
-  bool nonzero = q[zz[0]] != 0;
+  bool ac = false;
   int run = 0;
   for (int i = 1; i < kDctBlockArea; ++i) {
     const i32 level = q[zz[i]];
@@ -62,17 +66,20 @@ bool encode_block(BitWriter& bw, const QuantBlock& q) {
     bw.put_ue(static_cast<u32>(run));
     bw.put_se(level);
     run = 0;
-    nonzero = true;
+    ac = true;
   }
   bw.put_ue(63);  // end of block
-  return nonzero;
+  if (ac) return BlockKind::kAc;
+  return q[zz[0]] != 0 ? BlockKind::kDcOnly : BlockKind::kEmpty;
 }
 
-/// Decodes one block into `q`; the value says whether any coefficient is
-/// nonzero (AC levels are never zero, so that is DC != 0 or any AC pair).
-[[nodiscard]] Result<bool> decode_block(BitReader& br, QuantBlock& q) {
+/// Decodes one block into `q`, whose AC entries must be zero on entry: the
+/// DC entry is always overwritten, and AC entries are written only in a
+/// block that returns `kAc`, so the caller clears `q` after those alone.
+/// AC levels are never zero, so a block has AC terms exactly when an AC
+/// pair precedes its EOB.
+[[nodiscard]] Result<BlockKind> decode_block(BitReader& br, QuantBlock& q) {
   const auto& zz = zigzag_order();
-  q.fill(0);
   auto dc = br.se();
   if (!dc.ok()) return dc.error();
   q[zz[0]] = dc.value();
@@ -80,7 +87,10 @@ bool encode_block(BitWriter& bw, const QuantBlock& q) {
   while (pos < kDctBlockArea) {
     auto run = br.ue();
     if (!run.ok()) return run.error();
-    if (run.value() == 63) return dc.value() != 0 || pos > 1;  // EOB
+    if (run.value() == 63) {  // EOB
+      if (pos > 1) return BlockKind::kAc;
+      return dc.value() != 0 ? BlockKind::kDcOnly : BlockKind::kEmpty;
+    }
     pos += static_cast<int>(run.value());
     if (pos >= kDctBlockArea) return corrupt_data("dct: run past block end");
     auto level = br.se();
@@ -93,7 +103,7 @@ bool encode_block(BitWriter& bw, const QuantBlock& q) {
   auto eob = br.ue();
   if (!eob.ok()) return eob.error();
   if (eob.value() != 63) return corrupt_data("dct: missing EOB");
-  return true;
+  return BlockKind::kAc;
 }
 
 /// Gathers one 8×8 block of centred (intra) or residual (inter) samples.
@@ -145,54 +155,67 @@ void gather_block(const Frame& cur, const Frame* ref, int c, i32 bx, i32 by,
   }
 }
 
-/// Scatters a reconstructed block back into `dst` (adding the prediction).
-/// Shared by the encoder's closed loop and the decoder so both sides run
-/// the identical rounding path.
+/// Scatters a reconstructed block back into `dst` (adding the prediction),
+/// clipped at the frame edge. Shared by the encoder's closed loop and the
+/// decoder so both sides run the identical rounding path. A `flat` block
+/// has one value at every sample (a DC-only block), so an intra block
+/// rounds it once.
 void scatter_block(Frame& dst, const Frame* ref, int c, i32 bx, i32 by,
-                   const DctBlock& spatial) {
-  const i32 w = dst.width();
-  const i32 h = dst.height();
+                   const DctBlock& spatial, bool flat) {
   const int ch = dst.channels();
   const i32 x0 = bx * kDctBlockSize;
   const i32 y0 = by * kDctBlockSize;
-  if (x0 + kDctBlockSize <= w && y0 + kDctBlockSize <= h) {
-    u8* db = dst.data().data();
-    const u8* rb = ref ? ref->data().data() : nullptr;
-    const size_t stride = dst.stride();
-    for (int yy = 0; yy < kDctBlockSize; ++yy) {
-      const size_t base = static_cast<size_t>(y0 + yy) * stride +
-                          static_cast<size_t>(x0) * static_cast<size_t>(ch) +
-                          static_cast<size_t>(c);
-      u8* drow = db + base;
-      const f32* in = &spatial[static_cast<size_t>(yy) * kDctBlockSize];
-      if (rb) {
-        const u8* rrow = rb + base;
-        for (int xx = 0; xx < kDctBlockSize; ++xx) {
-          drow[xx * ch] =
-              round_clamp_u8(in[xx] + static_cast<f32>(rrow[xx * ch]));
-        }
-      } else {
-        for (int xx = 0; xx < kDctBlockSize; ++xx) {
-          drow[xx * ch] = round_clamp_u8(in[xx] + 128.0f);
-        }
+  const i32 cols = std::min<i32>(kDctBlockSize, dst.width() - x0);
+  const i32 rows = std::min<i32>(kDctBlockSize, dst.height() - y0);
+  u8* db = dst.data().data();
+  const u8* rb = ref ? ref->data().data() : nullptr;
+  const size_t stride = dst.stride();
+  const u8 flat_intra = round_clamp_u8(spatial[0] + 128.0f);
+  for (i32 yy = 0; yy < rows; ++yy) {
+    const size_t base = static_cast<size_t>(y0 + yy) * stride +
+                        static_cast<size_t>(x0) * static_cast<size_t>(ch) +
+                        static_cast<size_t>(c);
+    u8* drow = db + base;
+    const f32* in = &spatial[static_cast<size_t>(yy) * kDctBlockSize];
+    if (rb) {
+      const u8* rrow = rb + base;
+      for (i32 xx = 0; xx < cols; ++xx) {
+        drow[xx * ch] =
+            round_clamp_u8(in[xx] + static_cast<f32>(rrow[xx * ch]));
+      }
+    } else if (flat) {
+      for (i32 xx = 0; xx < cols; ++xx) drow[xx * ch] = flat_intra;
+    } else {
+      for (i32 xx = 0; xx < cols; ++xx) {
+        drow[xx * ch] = round_clamp_u8(in[xx] + 128.0f);
       }
     }
-    return;
   }
-  for (int yy = 0; yy < kDctBlockSize; ++yy) {
-    for (int xx = 0; xx < kDctBlockSize; ++xx) {
-      const i32 x = x0 + xx;
-      const i32 y = y0 + yy;
-      if (x >= w || y >= h) continue;
-      f32 v = spatial[yy * kDctBlockSize + xx];
-      if (ref) {
-        v += static_cast<f32>(ref->at(x, y, c));
-      } else {
-        v += 128.0f;
-      }
-      dst.set(x, y, c, round_clamp_u8(v));
-    }
+}
+
+/// Reconstructs one coded block into `dst` over the prediction `ref`
+/// (nullptr for intra). The encoder's closed loop and the decoder both call
+/// this, so both sides take the same path for every block. Blocks with AC
+/// terms run the inverse transform; a DC-only block takes the one value the
+/// transform would give at every sample (an empty intra block is the case
+/// DC = 0); an empty inter block keeps its prediction, which is what a zero
+/// residual reconstructs to (round_clamp_u8(±0 + p) == p).
+void reconstruct_block(Frame& dst, const Frame* ref, const QuantTable& qt,
+                       int c, i32 bx, i32 by, BlockKind kind,
+                       const QuantBlock& q, DctBlock& freq, DctBlock& spatial) {
+  switch (kind) {
+    case BlockKind::kAc:
+      dequantize(q, qt, freq);
+      inverse_dct(freq, spatial);
+      break;
+    case BlockKind::kEmpty:
+      if (ref != nullptr) return;
+      [[fallthrough]];
+    case BlockKind::kDcOnly:
+      spatial.fill(dc_only_value(static_cast<f32>(q[0]) * qt.step[0]));
+      break;
   }
+  scatter_block(dst, ref, c, bx, by, spatial, kind != BlockKind::kAc);
 }
 
 /// DCT-codes `current` (optionally as a residual against `reference`) and
@@ -209,10 +232,9 @@ Bytes dct_encode(const Frame& current, const Frame* reference,
   DctBlock spatial, freq;
   QuantBlock q;
 
-  // An inter reconstruction starts as the prediction, which is exactly what
-  // a zero residual reconstructs to (round_clamp_u8(±0 + p) == p), so those
-  // blocks are skipped. Otherwise scatter_block writes every valid pixel, so
-  // a right-sized scratch frame can be reused without clearing.
+  // An inter reconstruction starts as the prediction, which empty blocks
+  // keep. Otherwise every block writes every valid pixel, so a right-sized
+  // scratch frame can be reused without clearing.
   if (reference != nullptr) {
     recon = *reference;
   } else if (recon.size() != current.size() ||
@@ -226,14 +248,11 @@ Bytes dct_encode(const Frame& current, const Frame* reference,
         gather_block(current, reference, c, bx, by, spatial);
         forward_dct(spatial, freq);
         quantize(freq, qt, q);
-        const bool nonzero = encode_block(bits, q);
-        if (reference != nullptr && !nonzero) continue;
-
+        const BlockKind kind = encode_block(bits, q);
         // Closed-loop reconstruction so the encoder reference matches the
         // decoder exactly.
-        dequantize(q, qt, freq);
-        inverse_dct(freq, spatial);
-        scatter_block(recon, reference, c, bx, by, spatial);
+        reconstruct_block(recon, reference, qt, c, bx, by, kind, q, freq,
+                          spatial);
       }
     }
   }
@@ -241,8 +260,8 @@ Bytes dct_encode(const Frame& current, const Frame* reference,
 }
 
 /// Decodes a DCT payload into `out`. For an inter frame `out` must already
-/// hold a copy of `reference`: zero-residual blocks are left as they are,
-/// exactly as the encoder's closed loop leaves them.
+/// hold a copy of `reference`: empty blocks are left as they are, exactly
+/// as the encoder's closed loop leaves them.
 Status dct_decode(std::span<const u8> payload, const Frame* reference,
                   const QuantTable& qt, Frame& out) {
   const i32 w = out.width();
@@ -253,17 +272,18 @@ Status dct_decode(std::span<const u8> payload, const Frame* reference,
 
   BitReader bits(payload);
   DctBlock spatial, freq;
-  QuantBlock q;
+  QuantBlock q{};
 
   for (int c = 0; c < channels; ++c) {
     for (i32 by = 0; by < bh_blocks; ++by) {
       for (i32 bx = 0; bx < bw_blocks; ++bx) {
-        auto nonzero = decode_block(bits, q);
-        if (!nonzero.ok()) return nonzero.error();
-        if (reference != nullptr && !nonzero.value()) continue;
-        dequantize(q, qt, freq);
-        inverse_dct(freq, spatial);
-        scatter_block(out, reference, c, bx, by, spatial);
+        auto kind = decode_block(bits, q);
+        if (!kind.ok()) return kind.error();
+        reconstruct_block(out, reference, qt, c, bx, by, kind.value(), q,
+                          freq, spatial);
+        // Only an AC block leaves AC entries behind; on an error q dies
+        // with this call.
+        if (kind.value() == BlockKind::kAc) q.fill(0);
       }
     }
   }
@@ -327,6 +347,15 @@ struct ParsedFrame {
   if (fmt_b.value() != static_cast<u8>(PixelFormat::kGray8) &&
       fmt_b.value() != static_cast<u8>(PixelFormat::kRgb24)) {
     return corrupt_data("unknown pixel format");
+  }
+  // The CRC covers only the payload, so the header bytes are checked here.
+  if (type_b.value() > static_cast<u8>(FrameType::kInter)) {
+    return corrupt_data("unknown frame type");
+  }
+  // The encoder writes DCT quality in [1, 255]; raw and RLE frames write 0.
+  if (mode_b.value() == static_cast<u8>(CodecMode::kDct) &&
+      quality_b.value() == 0) {
+    return corrupt_data("dct quality 0");
   }
   ParsedFrame f;
   f.mode = static_cast<CodecMode>(mode_b.value());

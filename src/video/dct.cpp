@@ -1,5 +1,6 @@
 #include "video/dct.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -7,8 +8,8 @@ namespace vgbl {
 namespace {
 
 /// Cosine basis C[k][n] = c(k) * cos((2n+1)kπ/16) plus its transpose,
-/// precomputed once. The transpose gives the column passes a contiguous
-/// inner loop without changing any accumulation order.
+/// precomputed once. The transpose gives the forward row pass its 8
+/// outputs' basis values for one term contiguously.
 struct Basis {
   f32 c[kDctBlockSize][kDctBlockSize];   // c[k][n]
   f32 ct[kDctBlockSize][kDctBlockSize];  // ct[n][k] == c[k][n]
@@ -29,6 +30,13 @@ struct Basis {
 const Basis& basis() {
   static const Basis b;
   return b;
+}
+
+/// out[i] += f · row[i] for the 8 outputs of one row or column. Each output
+/// is its own accumulator, so the loop vectorises across outputs and never
+/// reorders any one output's sum.
+inline void add_term(f32 (&out)[kDctBlockSize], f32 f, const f32* row) {
+  for (int i = 0; i < kDctBlockSize; ++i) out[i] += f * row[i];
 }
 
 // JPEG Annex K luminance quantisation table (quality scaling applied on top).
@@ -68,64 +76,70 @@ const std::array<int, kDctBlockArea>& zigzag_order() {
 
 void forward_dct(const DctBlock& spatial, DctBlock& freq) {
   const Basis& b = basis();
-  // Separable: rows then columns. tmp is stored transposed (tmp[k][y]) so
-  // the column pass reads contiguously; each output value still accumulates
-  // its 8 products in the same n = 0..7 order as always.
+  // Separable: rows then columns, each output summing its 8 products in
+  // n = 0..7 order. Row pass: tmp[y][k] = Σn spatial[y][n]·c[k][n], the 8
+  // outputs k of row y side by side (ct[n] holds c[k][n] for k = 0..7).
   f32 tmp[kDctBlockArea];
   for (int y = 0; y < kDctBlockSize; ++y) {
     const f32* row = &spatial[y * kDctBlockSize];
-    for (int k = 0; k < kDctBlockSize; ++k) {
-      const f32* ck = b.c[k];
-      f32 acc = 0;
-      for (int n = 0; n < kDctBlockSize; ++n) acc += row[n] * ck[n];
-      tmp[k * kDctBlockSize + y] = acc;
-    }
+    f32 out[kDctBlockSize] = {};
+    for (int n = 0; n < kDctBlockSize; ++n) add_term(out, row[n], b.ct[n]);
+    std::copy_n(out, kDctBlockSize, &tmp[y * kDctBlockSize]);
   }
-  for (int x = 0; x < kDctBlockSize; ++x) {
-    const f32* col = &tmp[x * kDctBlockSize];  // former column x, contiguous
-    for (int k = 0; k < kDctBlockSize; ++k) {
-      const f32* ck = b.c[k];
-      f32 acc = 0;
-      for (int n = 0; n < kDctBlockSize; ++n) acc += col[n] * ck[n];
-      freq[k * kDctBlockSize + x] = acc;
+  // Column pass: freq[k][x] = Σn tmp[n][x]·c[k][n], the 8 outputs x of
+  // frequency row k side by side.
+  for (int k = 0; k < kDctBlockSize; ++k) {
+    const f32* ck = b.c[k];
+    f32 out[kDctBlockSize] = {};
+    for (int n = 0; n < kDctBlockSize; ++n) {
+      add_term(out, ck[n], &tmp[n * kDctBlockSize]);
     }
+    std::copy_n(out, kDctBlockSize, &freq[k * kDctBlockSize]);
   }
 }
 
 void inverse_dct(const DctBlock& freq, DctBlock& spatial) {
   const Basis& b = basis();
+  // Column pass: tmp[x][n] = Σk freq[k][x]·c[k][n], the 8 outputs n of
+  // column x side by side, stored transposed so the row pass reads them as
+  // its terms. Quantised blocks are mostly zeros, so each sum stops after
+  // its last nonzero term (see the hot-path contract in dct.hpp). `cols` is
+  // one past the last column holding a nonzero coefficient: every spatial
+  // row's sum has no nonzero term beyond it, which bounds the row pass.
   f32 tmp[kDctBlockArea];
-  // Quantised blocks are mostly zeros, so each sum stops after its last
-  // nonzero term (see the hot-path contract in dct.hpp). `cols` is one past
-  // the last column holding a nonzero coefficient: every tmp row is zero
-  // beyond it, which bounds the row pass the same way.
   int cols = 0;
   for (int x = 0; x < kDctBlockSize; ++x) {
-    // Gather column x once; the transposed basis keeps the k accumulation
-    // (same k = 0..7 order) contiguous on both operands.
-    f32 col[kDctBlockSize];
     int terms = 0;
     for (int k = 0; k < kDctBlockSize; ++k) {
-      col[k] = freq[k * kDctBlockSize + x];
-      if (col[k] != 0.0f) terms = k + 1;
+      if (freq[k * kDctBlockSize + x] != 0.0f) terms = k + 1;
     }
     if (terms > 0) cols = x + 1;
-    for (int n = 0; n < kDctBlockSize; ++n) {
-      const f32* ctn = b.ct[n];
-      f32 acc = 0;
-      for (int k = 0; k < terms; ++k) acc += col[k] * ctn[k];
-      tmp[n * kDctBlockSize + x] = acc;
+    f32 out[kDctBlockSize] = {};
+    for (int k = 0; k < terms; ++k) {
+      add_term(out, freq[k * kDctBlockSize + x], b.c[k]);
     }
+    std::copy_n(out, kDctBlockSize, &tmp[x * kDctBlockSize]);
   }
+  // Row pass: spatial[y][n] = Σk tmp[k][y]·c[k][n] over k < cols, the 8
+  // outputs n of row y side by side.
   for (int y = 0; y < kDctBlockSize; ++y) {
-    const f32* row = &tmp[y * kDctBlockSize];
-    for (int n = 0; n < kDctBlockSize; ++n) {
-      const f32* ctn = b.ct[n];
-      f32 acc = 0;
-      for (int k = 0; k < cols; ++k) acc += row[k] * ctn[k];
-      spatial[y * kDctBlockSize + n] = acc;
+    f32 out[kDctBlockSize] = {};
+    for (int k = 0; k < cols; ++k) {
+      add_term(out, tmp[k * kDctBlockSize + y], b.c[k]);
     }
+    std::copy_n(out, kDctBlockSize, &spatial[y * kDctBlockSize]);
   }
+}
+
+f32 dc_only_value(f32 dc) {
+  // inverse_dct's two one-term sums: the column pass gives 0 + dc·s at
+  // every n, the row pass 0 + (0 + dc·s)·s at every sample.
+  const f32 s = basis().c[0][0];
+  f32 column = 0.0f;
+  column += dc * s;
+  f32 sample = 0.0f;
+  sample += column * s;
+  return sample;
 }
 
 f32 quant_step(int index, int quality) {

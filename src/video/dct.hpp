@@ -3,15 +3,29 @@
 // by a quality factor; the inverse reverses both steps. Encoder and decoder
 // share these routines so the closed prediction loop stays bit-identical.
 //
-// Hot-path contract (ISSUE 9): every routine here is pinned bit-exact by
+// Hot-path contract: every routine here is pinned bit-exact by
 // tests/codec_golden_test.cpp. Optimisations must preserve the floating-
 // point operation order of each output value — reorganising memory layout
-// is fine, reassociating accumulations is not. One exception: a term that
-// is exactly ±0 may be dropped from a sum (`inverse_dct` stops each sum
-// after its last nonzero coefficient). Adding ±0 leaves a nonzero sum
-// unchanged and can flip only the sign of a zero one, and every consumer
-// rounds the result (`round_clamp_u8(±0 + p)` is the same pixel), so the
-// reconstructed pixels and the bitstream stay identical.
+// is fine, reassociating accumulations is not. Three rules follow from it:
+//
+//  - Loop order. Both transform passes loop over the term index outside
+//    and the 8 outputs of a row or column inside (`out[n] += f * c[k][n]`),
+//    so the compiler keeps eight independent accumulators and may vectorise
+//    across them. Each output still starts from +0 and adds the same
+//    products in the same term order. Vectorising *within* one output's sum
+//    (a horizontal add, a split accumulator, an FMA contraction) reorders
+//    it and is not allowed.
+//  - Zero terms. A term that is exactly ±0 may be dropped from a sum
+//    (`inverse_dct` stops each sum after its last nonzero coefficient).
+//    Adding ±0 leaves a nonzero sum unchanged and can flip only the sign of
+//    a zero one, and every consumer rounds the result
+//    (`round_clamp_u8(±0 + p)` is the same pixel), so the reconstructed
+//    pixels and the bitstream stay identical.
+//  - DC-only blocks. The k = 0 basis row is one constant s, so a block whose
+//    only nonzero coefficient is the DC term d gives the same value at all
+//    64 samples: 0 + (0 + d·s)·s, the two passes' one-term sums.
+//    `dc_only_value` computes exactly that, and the codec writes it without
+//    running `dequantize` or the inverse transform.
 #pragma once
 
 #include <array>
@@ -35,6 +49,11 @@ void forward_dct(const DctBlock& spatial, DctBlock& freq);
 /// Inverse 8×8 DCT. Cost scales with the extent of the nonzero
 /// coefficients: a DC-only block takes one term per sum.
 void inverse_dct(const DctBlock& freq, DctBlock& spatial);
+
+/// The value `inverse_dct` gives at every sample of a block whose only
+/// nonzero coefficient is the dequantised DC term `dc` (+0 for `dc == 0`),
+/// bit for bit.
+[[nodiscard]] f32 dc_only_value(f32 dc);
 
 /// Quantisation step for coefficient index `i` at `quality` (1 = finest,
 /// larger = coarser). Derived from the JPEG luminance table.

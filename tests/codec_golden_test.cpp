@@ -1,17 +1,19 @@
-// Golden bit-identity gate for the video codec (ISSUE 9). Pins an FNV-1a
+// Golden bit-identity gate for the video codec. Pins an FNV-1a
 // fingerprint of the full encoded stream — every frame's header, keyframe
 // flag and payload bytes — for each checked-in gen-corpus seed × codec
 // mode. Any change to the emitted bitstream, however subtle (quantiser
 // rounding, entropy coding, GOP cadence, header layout), flips a
 // fingerprint and fails here. A second table pins the decoded pixels of
-// the same streams, so a reconstruction that drifts by one LSB fails too.
-// This is the license for hot-path rewrites: optimisations must leave every
-// fingerprint untouched, so "faster" can never silently mean "different".
+// the same streams, so a reconstruction that drifts by one LSB fails too,
+// and a third pins both for clip shapes the corpus lacks (one channel, both
+// sides ragged). This is the license for hot-path rewrites: optimisations
+// must leave every fingerprint untouched, so "faster" can never silently
+// mean "different".
 //
 // Regenerating after an *intentional* format change:
 //   VGBL_GOLDEN_PRINT=1 ./build/tests/codec_golden_test
-// prints the replacement kGolden and kGoldenPixels tables; paste them below
-// and say why in the commit message.
+// prints the replacement kGolden, kGoldenPixels and kShapeGolden tables;
+// paste them below and say why in the commit message.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -123,7 +125,7 @@ EncodedStream encode_arm(const std::vector<Frame>& frames, const ModeArm& arm) {
   return std::move(stream.value());
 }
 
-// Golden fingerprints of the pre-overhaul encoder (seed commit for ISSUE 9).
+// Golden fingerprints of the encoder before its hot-path overhaul.
 // One row per checked-in gen-corpus seed × mode arm.
 struct GoldenRow {
   u64 seed;
@@ -224,6 +226,59 @@ constexpr GoldenRow kGoldenPixels[] = {
     // clang-format on
 };
 
+// Shapes the corpus clips miss: every corpus clip is RGB, and 90 is the
+// only side among them that is not a multiple of 8. These clips add the
+// one-channel stride and blocks clipped at both the right and the bottom
+// edge, for each DCT arm.
+struct ShapeClip {
+  const char* name;
+  i32 width;
+  i32 height;
+  PixelFormat format;
+  u64 seed;
+};
+
+constexpr ShapeClip kShapeClips[] = {
+    {"gray8_90x66", 90, 66, PixelFormat::kGray8, 5},
+    {"rgb24_99x75", 99, 75, PixelFormat::kRgb24, 11},
+};
+
+constexpr ModeArm kDctModes[] = {
+    {"dct_q4", CodecMode::kDct, 4},
+    {"dct_q16", CodecMode::kDct, 16},
+    {"dct_q32", CodecMode::kDct, 32},
+};
+
+std::vector<Frame> shape_clip(const ShapeClip& clip) {
+  const ClipSpec spec =
+      make_demo_spec(2, 6, clip.width, clip.height, clip.seed);
+  std::vector<Frame> frames = generate_clip(spec).frames;
+  if (clip.format == PixelFormat::kGray8) {
+    for (Frame& f : frames) f = f.to_gray();
+  }
+  return frames;
+}
+
+struct ShapeGoldenRow {
+  const char* clip;
+  const char* mode;
+  u64 stream;
+  u64 pixels;
+};
+
+// Captured from the codec before the DC-only reconstruction, the one-window
+// exp-Golomb read and the outputs-inside DCT loops landed.
+constexpr ShapeGoldenRow kShapeGolden[] = {
+    // clang-format off
+    {"gray8_90x66", "dct_q4", 3831067639659118682ULL, 1151859734497432731ULL},
+    {"gray8_90x66", "dct_q16", 3581085524950022601ULL, 11335519834115055585ULL},
+    {"gray8_90x66", "dct_q32", 12091694198756477205ULL, 696973776525106649ULL},
+    {"rgb24_99x75", "dct_q4", 1987235525338660873ULL, 16033523764343500894ULL},
+    {"rgb24_99x75", "dct_q16", 6415856226457221541ULL, 1372315707455301157ULL},
+    {"rgb24_99x75", "dct_q32", 9798393689443203047ULL, 10833212161765804340ULL},
+    // clang-format on
+};
+
 TEST(CodecGoldenTest, BitstreamFingerprintsAreStable) {
   const bool print = std::getenv("VGBL_GOLDEN_PRINT") != nullptr;
   std::map<std::pair<u64, std::string>, u64> expected;
@@ -300,6 +355,53 @@ TEST(CodecGoldenTest, DecodedPixelFingerprintsAreStable) {
       EXPECT_EQ(got, it->second)
           << "decoded pixels changed for seed " << seed << " mode "
           << arm.name << " — reconstruction is no longer bit-exact";
+    }
+  }
+}
+
+/// The shape clips pin both the bitstream and the decoded pixels, through
+/// both decode entry points.
+TEST(CodecGoldenTest, ShapeFingerprintsAreStable) {
+  const bool print = std::getenv("VGBL_GOLDEN_PRINT") != nullptr;
+  std::map<std::pair<std::string, std::string>, ShapeGoldenRow> expected;
+  for (const ShapeGoldenRow& row : kShapeGolden) {
+    expected[{row.clip, row.mode}] = row;
+  }
+  if (print) std::printf("    // kShapeGolden\n");
+
+  for (const ShapeClip& clip : kShapeClips) {
+    const std::vector<Frame> frames = shape_clip(clip);
+    ASSERT_FALSE(frames.empty());
+    ASSERT_EQ(frames[0].format(), clip.format);
+    for (const ModeArm& arm : kDctModes) {
+      const EncodedStream stream = encode_arm(frames, arm);
+      auto batch = decode_stream(stream);
+      ASSERT_TRUE(batch.ok()) << clip.name << " " << arm.name;
+      std::vector<Frame> per_frame;
+      Decoder decoder;
+      for (const EncodedFrame& f : stream.frames) {
+        auto frame = decoder.decode(f.data);
+        ASSERT_TRUE(frame.ok()) << clip.name << " " << arm.name;
+        per_frame.push_back(std::move(frame.value()));
+      }
+      const u64 got_stream = stream_fingerprint(stream);
+      const u64 got_pixels = pixels_fingerprint(batch.value());
+      EXPECT_EQ(pixels_fingerprint(per_frame), got_pixels)
+          << "per-frame and batch decode disagree for " << clip.name << " "
+          << arm.name;
+      if (print) {
+        std::printf("    {\"%s\", \"%s\", %lluULL, %lluULL},\n", clip.name,
+                    arm.name, static_cast<unsigned long long>(got_stream),
+                    static_cast<unsigned long long>(got_pixels));
+        continue;
+      }
+      const auto it = expected.find({clip.name, arm.name});
+      ASSERT_NE(it, expected.end())
+          << "no shape fingerprint for " << clip.name << " " << arm.name;
+      EXPECT_EQ(got_stream, it->second.stream)
+          << "bitstream changed for " << clip.name << " " << arm.name;
+      EXPECT_EQ(got_pixels, it->second.pixels)
+          << "decoded pixels changed for " << clip.name << " " << arm.name;
     }
   }
 }

@@ -277,6 +277,56 @@ TEST(CodecErrorTest, EmptyStreamRejected) {
   EXPECT_FALSE(encode_stream({}, CodecConfig{}).ok());
 }
 
+// The payload CRC does not cover the frame header, so the decoder checks
+// the header bytes it acts on. Offsets: magic, mode, type, format, quality.
+constexpr size_t kHeaderTypeByte = 2;
+constexpr size_t kHeaderQualityByte = 4;
+
+// A type byte other than intra (0) or inter (1) is corrupt data, whatever
+// the mode and whichever frame it replaces.
+TEST(CodecErrorTest, UnknownFrameTypeRejected) {
+  const auto frames = test_frames(2);
+  for (CodecMode mode : {CodecMode::kRaw, CodecMode::kRle, CodecMode::kDct}) {
+    Encoder enc({mode, 4, 16});
+    const EncodedFrame key = enc.encode(frames[0]).value();
+    const EncodedFrame inter = enc.encode(frames[1]).value();
+    ASSERT_FALSE(inter.keyframe);
+    for (const EncodedFrame* f : {&key, &inter}) {
+      for (u8 type : {2, 7, 255}) {
+        Decoder dec;
+        ASSERT_TRUE(dec.decode(key.data).ok());  // the inter frame's reference
+        Bytes bad = f->data;
+        bad[kHeaderTypeByte] = type;
+        auto r = dec.decode(bad);
+        ASSERT_FALSE(r.ok()) << codec_mode_name(mode) << " type " << int{type};
+        EXPECT_EQ(r.error().code, ErrorCode::kCorruptData);
+      }
+    }
+  }
+}
+
+// The encoder writes DCT quality in [1, 255], so a DCT frame with quality 0
+// is corrupt. Raw and RLE frames write 0 and still decode.
+TEST(CodecErrorTest, DctQualityZeroInHeaderRejected) {
+  const auto frame = test_frames(1)[0];
+  Encoder dct({CodecMode::kDct, 4, 16});
+  Bytes bad = dct.encode(frame).value().data;
+  ASSERT_EQ(bad[kHeaderQualityByte], 16);
+  bad[kHeaderQualityByte] = 0;
+  Decoder dec;
+  auto r = dec.decode(bad);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, ErrorCode::kCorruptData);
+
+  for (CodecMode mode : {CodecMode::kRaw, CodecMode::kRle}) {
+    Encoder enc({mode, 4, 16});
+    const EncodedFrame f = enc.encode(frame).value();
+    ASSERT_EQ(f.data[kHeaderQualityByte], 0) << codec_mode_name(mode);
+    Decoder fresh;
+    EXPECT_TRUE(fresh.decode(f.data).ok()) << codec_mode_name(mode);
+  }
+}
+
 // --- ISSUE 9 regressions -----------------------------------------------------
 
 // quality is stored as one byte in the frame header; values outside [1,255]

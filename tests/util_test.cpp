@@ -396,6 +396,56 @@ TEST_P(ExpGolombTest, UnsignedAndSignedRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExpGolombTest, ::testing::Values(1, 2, 3));
 
+// A code that fits the reader's window is taken in one step; a longer one,
+// or one cut by the stream's end, goes through bits(). The stream holds
+// codes with prefixes of 0..32 zeros, then codes of random length that
+// straddle refills at many offsets, then a 33-zero prefix, after 0..7
+// leading one-bit codes. Cut at every byte, a read must return each code
+// that ends before the cut and then fail with kCorruptData, never return a
+// wrong value.
+TEST(BitstreamTest, ExpGolombCutAtEveryByteFailsCleanly) {
+  Rng rng(29);
+  for (int lead = 0; lead < 8; ++lead) {
+    std::vector<u32> values(static_cast<size_t>(lead), 0u);
+    for (int z = 0; z <= 32; ++z) {
+      const u64 first = (u64{1} << z) - 1;  // 1 followed by z zeros, minus 1
+      const u64 last = (u64{2} << z) - 2;   // z + 1 ones, minus 1
+      values.push_back(static_cast<u32>(first));
+      if (last <= 0xFFFFFFFFu) values.push_back(static_cast<u32>(last));
+    }
+    for (int i = 0; i < 200; ++i) {
+      const int z = static_cast<int>(rng.below(32));
+      values.push_back(static_cast<u32>((u64{1} << z) - 1 + rng.below(1u << z)));
+    }
+    BitWriter w;
+    std::vector<size_t> ends;  // bit position just past each code
+    for (u32 v : values) {
+      w.put_ue(v);
+      ends.push_back(w.bit_count());
+    }
+    w.put_bits(0, 33);  // a prefix longer than any u32 code, whose
+    w.put_bits(1, 1);   // terminator and suffix bits are all present
+    w.put_bits(~u64{0}, 40);
+    const Bytes data = std::move(w).finish();
+
+    for (size_t cut = 0; cut <= data.size(); ++cut) {
+      BitReader r{std::span<const u8>(data).first(cut)};
+      size_t i = 0;
+      for (; i < values.size() && ends[i] <= cut * 8; ++i) {
+        auto got = r.ue();
+        ASSERT_TRUE(got.ok()) << "lead " << lead << " cut " << cut << " code "
+                              << i << ": " << got.error().message;
+        ASSERT_EQ(got.value(), values[i])
+            << "lead " << lead << " cut " << cut << " code " << i;
+      }
+      auto next = r.ue();
+      ASSERT_FALSE(next.ok()) << "lead " << lead << " cut " << cut << " code "
+                              << i << " read " << next.value();
+      EXPECT_EQ(next.error().code, ErrorCode::kCorruptData);
+    }
+  }
+}
+
 // --- CRC32 ----------------------------------------------------------------------
 
 TEST(Crc32Test, KnownVectors) {

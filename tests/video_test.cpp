@@ -1,8 +1,11 @@
-// Tests for the frame model, the synthetic clip generator and the
-// scene-cut detector / scenario segmentation.
+// Tests for the frame model, the DCT kernels, the synthetic clip generator
+// and the scene-cut detector / scenario segmentation.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "util/rng.hpp"
+#include "video/dct.hpp"
 #include "video/frame.hpp"
 #include "video/scene_detect.hpp"
 #include "video/synthetic.hpp"
@@ -313,6 +316,33 @@ TEST(SyntheticTest, NoiseLevelAddsNoise) {
   spec.scenes[0].style.noise_level = 8.0;
   const Clip noisy = generate_clip(spec);
   EXPECT_GT(mean_abs_diff(clean.frames[0], noisy.frames[0]), 2.0);
+}
+
+// --- DCT kernels -------------------------------------------------------------------
+
+// The codec writes dc_only_value for a block whose only nonzero coefficient
+// is DC instead of running dequantize and the inverse transform, so the two
+// must agree bit for bit at all 64 samples, for every DC level and for
+// qualities across the header byte's range.
+TEST(DctKernelTest, DcOnlyValueMatchesEverySampleOfInverseDct) {
+  for (int quality : {1, 4, 16, 32, 255}) {
+    const QuantTable& table = quant_table(quality);
+    for (i32 level = -2048; level <= 2047; ++level) {
+      QuantBlock q{};
+      q[0] = level;
+      DctBlock freq{};
+      DctBlock spatial{};
+      dequantize(q, table, freq);
+      inverse_dct(freq, spatial);
+      const f32 v = dc_only_value(static_cast<f32>(level) * table.step[0]);
+      for (int i = 0; i < kDctBlockArea; ++i) {
+        ASSERT_EQ(std::memcmp(&v, &spatial[static_cast<size_t>(i)], sizeof v),
+                  0)
+            << "quality " << quality << " level " << level << " sample " << i
+            << ": " << v << " vs " << spatial[static_cast<size_t>(i)];
+      }
+    }
+  }
 }
 
 // --- Scene-cut detection ---------------------------------------------------------
