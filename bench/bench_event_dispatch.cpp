@@ -1,13 +1,12 @@
 // E6 — event dispatch table: click→rules-matched latency vs rule count,
-// interpreter vs compiled-VM guard engines (ablation), plus raw guard
-// evaluation cost. Expected shape: indexed dispatch stays ~flat with rule
-// count (exact-object buckets); the VM beats the interpreter and the gap
-// widens with guard complexity.
+// plus raw guard evaluation cost vs nesting depth, both through the one
+// guard evaluator sessions run (`evaluate`, condition.hpp). Expected shape:
+// indexed dispatch stays ~flat with rule count (exact-object buckets);
+// guard cost grows linearly with node count.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 #include "event/rule.hpp"
-#include "event/vm.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -47,9 +46,7 @@ SimpleStateView bench_state() {
 
 void BM_Dispatch(benchmark::State& state) {
   const int rule_count = static_cast<int>(state.range(0));
-  const auto engine = state.range(1) == 0 ? GuardEngine::kInterpreter
-                                          : GuardEngine::kCompiledVm;
-  const RuleBook book(make_rules(rule_count), engine);
+  const RuleBook book(make_rules(rule_count));
   const SimpleStateView view = bench_state();
   const std::unordered_set<u32> disarmed;
 
@@ -66,22 +63,13 @@ void BM_Dispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["rules"] = rule_count;
-  state.SetLabel(engine == GuardEngine::kCompiledVm ? "vm" : "interpreter");
 }
 
-void DispatchArgs(benchmark::internal::Benchmark* b) {
-  for (int rules : {10, 100, 1000, 10000}) {
-    b->Args({rules, 0});
-    b->Args({rules, 1});
-  }
-}
+BENCHMARK(BM_Dispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-BENCHMARK(BM_Dispatch)->Apply(DispatchArgs);
-
-/// Raw guard evaluation: the ablation isolated from dispatch overheads.
+/// Raw guard evaluation, isolated from dispatch overheads.
 void BM_GuardEval(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  const bool compiled = state.range(1) == 1;
   // Build a chain of nested ANDs with `depth` levels.
   Condition c = Condition::flag_set("flag0");
   for (int i = 1; i < depth; ++i) {
@@ -90,37 +78,15 @@ void BM_GuardEval(benchmark::State& state) {
          Condition::any_of({Condition::has_item(ItemId{static_cast<u32>(i % 5 + 1)}),
                             Condition::score_at_least(i)})});
   }
-  const CompiledCondition program(c);
   const SimpleStateView view = bench_state();
   for (auto _ : state) {
-    bool v = compiled ? program.evaluate(view) : evaluate(c, view);
+    bool v = evaluate(c, view);
     benchmark::DoNotOptimize(v);
   }
   state.counters["nodes"] = static_cast<double>(c.node_count());
-  state.SetLabel(compiled ? "vm" : "interpreter");
 }
 
-BENCHMARK(BM_GuardEval)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
-
-/// Compilation cost (paid once per bundle load).
-void BM_CompileCondition(benchmark::State& state) {
-  Condition c = Condition::flag_set("flag0");
-  for (int i = 1; i < 32; ++i) {
-    c = Condition::all_of({std::move(c), Condition::score_at_least(i)});
-  }
-  for (auto _ : state) {
-    Program p = compile_condition(c);
-    benchmark::DoNotOptimize(p);
-  }
-}
-
-BENCHMARK(BM_CompileCondition);
+BENCHMARK(BM_GuardEval)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 
@@ -130,5 +96,5 @@ int main(int argc, char** argv) {
       {.name = "event_dispatch",
        .default_out = "BENCH_event_dispatch.json",
        .headline_case = "BM_Dispatch",
-       .fields = {{"workload", "{\"rules\": \"4-64 per object\", \"guards\": \"interpreted+compiled\"}"}}});
+       .fields = {{"workload", "{\"rules\": \"4-64 per object\", \"guards\": \"interpreted\"}"}}});
 }

@@ -1,9 +1,7 @@
-// Reusable countdown latch and a double-buffer exchange helper used by the
-// compositor (render thread writes the back buffer, presenter reads front).
+// Resettable countdown latch; `ThreadPool::parallel_for_chunks` waits on one.
 #pragma once
 
 #include <condition_variable>
-#include <utility>
 
 #include "util/thread_annotations.hpp"
 #include "util/types.hpp"
@@ -38,36 +36,6 @@ class CountdownLatch {
   Mutex mutex_;
   std::condition_variable_any cv_;
   i64 count_ VGBL_GUARDED_BY(mutex_);
-};
-
-/// Two-slot swap buffer: the producer publishes a complete value, the
-/// consumer always reads the most recent published value. Stale reads are
-/// allowed (video presentation tolerates dropped frames); torn reads are not.
-template <typename T>
-class DoubleBuffer {
- public:
-  void publish(T value) VGBL_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    back_ = std::move(value);
-    ++version_;
-  }
-
-  /// Returns the newest value and its version. Version 0 means nothing has
-  /// been published yet (value is default-constructed).
-  [[nodiscard]] std::pair<T, u64> snapshot() const VGBL_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return {back_, version_};
-  }
-
-  [[nodiscard]] u64 version() const VGBL_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return version_;
-  }
-
- private:
-  mutable Mutex mutex_;
-  T back_ VGBL_GUARDED_BY(mutex_){};
-  u64 version_ VGBL_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace vgbl

@@ -3,9 +3,9 @@
 // these in the object editor ("players get different feedback after they
 // install components ... by the content providers' authoring", §3.2).
 //
-// Two evaluators exist: this AST interpreter (authoring-time, simple) and
-// the compiled bytecode VM in vm.hpp (runtime hot path). Their equivalence
-// is property-tested; the performance gap is ablation E6.
+// `evaluate` walks the tree directly, at authoring time and on every rule
+// dispatch: guards are tiny (1.06 nodes on average over the gen corpus),
+// and at that size a tree walk beats a compiled program (E6).
 #pragma once
 
 #include <memory>
@@ -112,8 +112,7 @@ class GameStateView {
   [[nodiscard]] virtual bool visited(ScenarioId id) const = 0;
 };
 
-/// Simple concrete view backed by plain containers (tests, benches, VM
-/// equivalence checks).
+/// Simple concrete view backed by plain containers (tests, benches).
 class SimpleStateView final : public GameStateView {
  public:
   std::unordered_map<u32, int> items;          // item id -> count
@@ -134,7 +133,9 @@ class SimpleStateView final : public GameStateView {
   }
 };
 
-/// AST interpreter.
+/// AST interpreter: short-circuits AND/OR left to right; recursion depth
+/// equals nesting depth, which Json::parse's depth cap bounds for loaded
+/// projects.
 [[nodiscard]] bool evaluate(const Condition& condition,
                             const GameStateView& state);
 

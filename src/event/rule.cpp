@@ -54,8 +54,11 @@ Result<ActionType> action_type_from_name(std::string_view name) {
 
 namespace {
 
-/// The entity whose id keys the dispatch index for each trigger type.
-u32 primary_entity(const Trigger& t) {
+/// The entity whose id keys the dispatch index for each trigger type. A
+/// rule's Trigger and an occurring TriggerEvent name these fields alike, so
+/// one definition serves both sides of the index.
+template <typename T>
+u32 primary_entity(const T& t) {
   switch (t.type) {
     case TriggerType::kClick:
     case TriggerType::kExamine:
@@ -74,33 +77,11 @@ u32 primary_entity(const Trigger& t) {
   return 0;
 }
 
-u32 primary_entity(const TriggerEvent& e) {
-  switch (e.type) {
-    case TriggerType::kClick:
-    case TriggerType::kExamine:
-    case TriggerType::kDragToInventory:
-    case TriggerType::kUseItemOn:
-      return e.object.value;
-    case TriggerType::kCombineItems:
-      return e.item.value;
-    case TriggerType::kEnterScenario:
-    case TriggerType::kSegmentEnd:
-    case TriggerType::kTimer:
-      return e.scenario.value;
-    case TriggerType::kDialogueTag:
-      return 0;
-  }
-  return 0;
-}
-
 }  // namespace
 
-RuleBook::RuleBook(std::vector<EventRule> rules, GuardEngine engine)
-    : rules_(std::move(rules)), engine_(engine) {
-  compiled_.reserve(rules_.size());
+RuleBook::RuleBook(std::vector<EventRule> rules) : rules_(std::move(rules)) {
   for (u32 i = 0; i < rules_.size(); ++i) {
     const EventRule& r = rules_[i];
-    compiled_.emplace_back(r.condition);
     if (r.trigger.type == TriggerType::kTimer) timers_.push_back(i);
     const u32 entity = primary_entity(r.trigger);
     if (entity == 0) {
@@ -109,14 +90,6 @@ RuleBook::RuleBook(std::vector<EventRule> rules, GuardEngine engine)
       index_[key(r.trigger.type, entity)].push_back(i);
     }
   }
-}
-
-bool RuleBook::guard_passes(size_t rule_index,
-                            const GameStateView& state) const {
-  if (engine_ == GuardEngine::kCompiledVm) {
-    return compiled_[rule_index].evaluate(state);
-  }
-  return evaluate(rules_[rule_index].condition, state);
 }
 
 RuleMatches RuleBook::match(const TriggerEvent& event,
@@ -161,7 +134,7 @@ RuleMatches RuleBook::match(const TriggerEvent& event,
     const EventRule& r = rules_[i];
     if (r.once && disarmed.count(r.id.value)) continue;
     if (!trigger_matches(r.trigger, event)) continue;
-    if (!guard_passes(i, state)) continue;
+    if (!evaluate(r.condition, state)) continue;
     out.push_back(&r);
   }
   return out;

@@ -13,7 +13,6 @@
 #include "event/action.hpp"
 #include "event/condition.hpp"
 #include "event/trigger.hpp"
-#include "event/vm.hpp"
 #include "util/small_vector.hpp"
 
 namespace vgbl {
@@ -34,19 +33,15 @@ struct EventRule {
 /// through scenario entry, and threads share the book.)
 using RuleMatches = SmallVector<const EventRule*, 8>;
 
-/// Evaluation strategy for rule guards (E6 ablation).
-enum class GuardEngine { kInterpreter, kCompiledVm };
-
 /// Immutable, indexed rule collection. Built once per loaded game
 /// (`load_bundle` keeps it in the bundle, and every session of that bundle
-/// reads the one copy, from any thread); each guard is compiled here, once.
-/// The index buckets rules by (trigger type, primary key) so dispatch
-/// touches only plausible candidates instead of scanning every rule.
+/// reads the one copy, from any thread). The index buckets rules by
+/// (trigger type, primary key) so dispatch touches only plausible
+/// candidates instead of scanning every rule.
 class RuleBook {
  public:
   RuleBook() = default;
-  explicit RuleBook(std::vector<EventRule> rules,
-                    GuardEngine engine = GuardEngine::kCompiledVm);
+  explicit RuleBook(std::vector<EventRule> rules);
 
   [[nodiscard]] const std::vector<EventRule>& rules() const { return rules_; }
   [[nodiscard]] size_t size() const { return rules_.size(); }
@@ -74,18 +69,7 @@ class RuleBook {
 
   [[nodiscard]] const EventRule* find(RuleId id) const;
 
-  /// Whether `rule`'s guard passes against `state`, through the guard
-  /// compiled at construction. `rule` must point into rules() (as the
-  /// results of find, match and for_each_timer do).
-  [[nodiscard]] bool guard_passes(const EventRule& rule,
-                                  const GameStateView& state) const {
-    return guard_passes(static_cast<size_t>(&rule - rules_.data()), state);
-  }
-
  private:
-  [[nodiscard]] bool guard_passes(size_t rule_index,
-                                  const GameStateView& state) const;
-
   /// Index key: trigger type ⊕ primary entity. Wildcard rules land in a
   /// type-only bucket checked in addition to the exact bucket.
   static u64 key(TriggerType type, u32 entity) {
@@ -93,8 +77,6 @@ class RuleBook {
   }
 
   std::vector<EventRule> rules_;
-  std::vector<CompiledCondition> compiled_;
-  GuardEngine engine_ = GuardEngine::kCompiledVm;
   std::unordered_map<u64, std::vector<u32>> index_;   // key -> rule indices
   std::vector<u32> type_wildcards_[16];               // per trigger type
   std::vector<u32> timers_;                           // timer rule indices

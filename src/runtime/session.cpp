@@ -834,7 +834,7 @@ void GameSession::tick() {
     if (!rule) continue;
     if (rule->once && disarmed_.count(rule->id.value)) continue;
     if (!trigger_matches(rule->trigger, ev)) continue;
-    if (!rule_book().guard_passes(*rule, StateView(this))) continue;
+    if (!evaluate(rule->condition, StateView(this))) continue;
     log({"timer rule '", rule->name, "' fired"});
     if (rule->once) disarmed_.insert(rule->id.value);
     for (const Action& action : rule->actions) {

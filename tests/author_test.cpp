@@ -506,6 +506,82 @@ TEST(SerializeTest, ConditionRoundTripDeep) {
   EXPECT_EQ(parsed.value(), c);
 }
 
+/// A guard `levels` conditions deep along its deepest path: NOT, AND and OR
+/// in turn above a flag leaf, each AND/OR with one leaf sibling so the
+/// short-circuits matter.
+Condition nested_guard(int levels) {
+  Condition c = Condition::flag_set("leaf");
+  for (int i = 1; i < levels; ++i) {
+    switch (i % 3) {
+      case 0:
+        c = Condition::negate(std::move(c));
+        break;
+      case 1:
+        c = Condition::all_of(
+            {std::move(c), Condition::has_item(ItemId{static_cast<u32>(1 + i % 4)})});
+        break;
+      default:
+        c = Condition::any_of(
+            {Condition::flag_set("f" + std::to_string(i % 2)), std::move(c)});
+        break;
+    }
+  }
+  return c;
+}
+
+/// The quickstart project text with its one rule guarded by `guard`.
+std::string project_with_guard(const Condition& guard) {
+  auto project = build_quickstart_project();
+  EXPECT_TRUE(project.ok());
+  EXPECT_EQ(project.value().rules.size(), 1u);
+  project.value().rules[0].condition = guard;
+  return save_project_text(project.value());
+}
+
+// Json::parse's depth cap (128 levels below the document) is the only bound
+// on how deep a loaded guard nests, and so on the recursion of `evaluate`.
+// A guard sits 3 levels down (document, "rules", rule), and each nested
+// condition adds 2 (its parent's "children" array and its own object), so
+// a guard of n levels puts its leaf's fields at 2n + 2: n = 63 is the
+// deepest the parser admits.
+constexpr int kDeepestGuardLevels = 63;
+
+TEST(SerializeTest, DeepestAdmittedGuardLoadsAndEvaluates) {
+  const Condition guard = nested_guard(kDeepestGuardLevels);
+  ASSERT_EQ(guard.node_count(), 105u);
+  auto loaded = load_project_text(project_with_guard(guard));
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  const Condition& reloaded = loaded.value().rules[0].condition;
+  EXPECT_EQ(reloaded, guard);
+
+  int passes = 0;
+  Rng rng(63);
+  for (int trial = 0; trial < 64; ++trial) {
+    SimpleStateView s;
+    for (u32 item = 1; item <= 4; ++item) {
+      if (rng.chance(0.8)) s.items[item] = 1;
+    }
+    for (const char* flag : {"leaf", "f0", "f1"}) {
+      if (rng.chance(0.5)) s.flags.insert(flag);
+    }
+    const bool want = evaluate(guard, s);
+    EXPECT_EQ(evaluate(reloaded, s), want) << "trial " << trial;
+    passes += want ? 1 : 0;
+  }
+  // Both outcomes occur, so the sweep is not a constant guard.
+  EXPECT_GT(passes, 0);
+  EXPECT_LT(passes, 64);
+}
+
+TEST(SerializeTest, GuardOneLevelPastParserCapIsTypedError) {
+  auto loaded =
+      load_project_text(project_with_guard(nested_guard(kDeepestGuardLevels + 1)));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, ErrorCode::kCorruptData);
+  EXPECT_NE(loaded.error().message.find("nesting too deep"), std::string::npos)
+      << loaded.error().message;
+}
+
 TEST(SerializeTest, MalformedProjectRejected) {
   EXPECT_FALSE(load_project_text("not json").ok());
   EXPECT_FALSE(load_project_text("[]").ok());

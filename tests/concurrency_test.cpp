@@ -1,5 +1,5 @@
-// Tests for the concurrency substrate: bounded queue, SPSC ring, thread
-// pool / parallel_for, latch and double buffer.
+// Tests for the concurrency substrate: bounded queue, thread pool /
+// parallel_for and latch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 
 #include "concurrency/bounded_queue.hpp"
 #include "concurrency/latch.hpp"
-#include "concurrency/spsc_ring.hpp"
 #include "concurrency/thread_pool.hpp"
 
 namespace vgbl {
@@ -104,46 +103,6 @@ TEST(BoundedQueueTest, MpmcStressConservesItems) {
       static_cast<i64>(kProducers) * kItemsEach * (kProducers * kItemsEach - 1) / 2;
   EXPECT_EQ(received.load(), kProducers * kItemsEach);
   EXPECT_EQ(sum.load(), expected);
-}
-
-// --- SpscRing -------------------------------------------------------------------
-
-TEST(SpscRingTest, CapacityRoundedUp) {
-  SpscRing<int> ring(5);
-  EXPECT_GE(ring.capacity(), 5u);
-}
-
-TEST(SpscRingTest, PushPopOrder) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 7; ++i) EXPECT_TRUE(ring.try_push(i));
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(ring.try_pop(), i);
-  EXPECT_EQ(ring.try_pop(), std::nullopt);
-}
-
-TEST(SpscRingTest, FullRejectsPush) {
-  SpscRing<int> ring(2);
-  size_t pushed = 0;
-  while (ring.try_push(1)) ++pushed;
-  EXPECT_EQ(pushed, ring.capacity());
-}
-
-TEST(SpscRingTest, ConcurrentStreamPreservesSequence) {
-  SpscRing<int> ring(64);
-  constexpr int kCount = 100000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount;) {
-      if (ring.try_push(i)) ++i;
-    }
-  });
-  int expected = 0;
-  while (expected < kCount) {
-    if (auto v = ring.try_pop()) {
-      ASSERT_EQ(*v, expected);
-      ++expected;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
 }
 
 // --- ThreadPool ----------------------------------------------------------------
@@ -250,35 +209,6 @@ TEST(LatchTest, ResetReuses) {
   latch.reset(2);
   latch.count_down(2);
   latch.wait();
-}
-
-// --- DoubleBuffer ----------------------------------------------------------------
-
-TEST(DoubleBufferTest, SnapshotSeesLatestPublish) {
-  DoubleBuffer<int> buf;
-  EXPECT_EQ(buf.version(), 0u);
-  buf.publish(10);
-  buf.publish(20);
-  auto [value, version] = buf.snapshot();
-  EXPECT_EQ(value, 20);
-  EXPECT_EQ(version, 2u);
-}
-
-TEST(DoubleBufferTest, NoTornReadsUnderContention) {
-  // Publish pairs (i, i); a torn read would observe mismatched halves.
-  DoubleBuffer<std::pair<int, int>> buf;
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-      buf.publish({i, i});
-    }
-  });
-  for (int i = 0; i < 100000; ++i) {
-    auto [value, version] = buf.snapshot();
-    ASSERT_EQ(value.first, value.second);
-  }
-  stop = true;
-  writer.join();
 }
 
 }  // namespace

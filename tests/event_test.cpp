@@ -1,13 +1,10 @@
-// Event system tests: trigger matching, condition evaluation, the bytecode
-// VM (with a random-tree equivalence property against the interpreter),
-// and rule-book dispatch.
+// Event system tests: trigger matching, condition evaluation and rule-book
+// dispatch.
 #include <gtest/gtest.h>
 
 #include "event/condition.hpp"
 #include "event/rule.hpp"
 #include "event/trigger.hpp"
-#include "event/vm.hpp"
-#include "util/rng.hpp"
 
 namespace vgbl {
 namespace {
@@ -183,135 +180,6 @@ TEST(ConditionTest, OpNamesRoundTrip) {
   }
 }
 
-// --- Bytecode VM -------------------------------------------------------------------
-
-TEST(VmTest, CompilesLeaves) {
-  const Program p = compile_condition(Condition::has_item(ItemId{3}));
-  ASSERT_EQ(p.code.size(), 1u);
-  EXPECT_EQ(p.code[0].op, OpCode::kHasItem);
-  EXPECT_EQ(p.code[0].a, 3u);
-}
-
-TEST(VmTest, InternsFlagsOnce) {
-  const Program p = compile_condition(Condition::all_of(
-      {Condition::flag_set("x"), Condition::flag_set("y"),
-       Condition::flag_set("x")}));
-  EXPECT_EQ(p.flag_names.size(), 2u);
-}
-
-TEST(VmTest, ShortCircuitAndJumps) {
-  // AND with a false first child must skip the rest (observable through
-  // the jump ops in the program).
-  const Program p = compile_condition(Condition::all_of(
-      {Condition::flag_set("a"), Condition::flag_set("b")}));
-  bool has_jump = false;
-  for (const auto& in : p.code) {
-    has_jump |= in.op == OpCode::kJumpIfFalse;
-  }
-  EXPECT_TRUE(has_jump);
-  SimpleStateView s;  // both flags false
-  EXPECT_FALSE(CompiledCondition(Condition::all_of(
-                   {Condition::flag_set("a"), Condition::flag_set("b")}))
-                   .evaluate(s));
-}
-
-TEST(VmTest, CorruptProgramsRejected) {
-  const SimpleStateView s;
-  Program underflow;
-  underflow.code.push_back({OpCode::kNot, 0, 0});
-  EXPECT_FALSE(run_program(underflow, s).ok());
-
-  Program bad_flag;
-  bad_flag.code.push_back({OpCode::kFlag, 7, 0});  // no interned names
-  EXPECT_FALSE(run_program(bad_flag, s).ok());
-
-  Program bad_jump;
-  bad_jump.code.push_back({OpCode::kPushTrue, 0, 0});
-  bad_jump.code.push_back({OpCode::kJumpIfTrue, 99, 0});
-  EXPECT_FALSE(run_program(bad_jump, s).ok());
-
-  Program leftovers;
-  leftovers.code.push_back({OpCode::kPushTrue, 0, 0});
-  leftovers.code.push_back({OpCode::kPushTrue, 0, 0});
-  EXPECT_FALSE(run_program(leftovers, s).ok());
-}
-
-/// Random condition trees for the equivalence sweep.
-Condition random_condition(Rng& rng, int depth) {
-  const u64 pick = depth <= 0 ? rng.below(6) : rng.below(9);
-  switch (pick) {
-    case 0:
-      return Condition::always();
-    case 1:
-      return Condition::has_item(ItemId{static_cast<u32>(rng.range(1, 5))});
-    case 2:
-      return Condition::item_count_at_least(
-          ItemId{static_cast<u32>(rng.range(1, 5))}, rng.range(0, 3));
-    case 3:
-      return Condition::flag_set("flag" + std::to_string(rng.below(4)));
-    case 4:
-      return Condition::score_at_least(rng.range(-10, 100));
-    case 5:
-      return Condition::visited(ScenarioId{static_cast<u32>(rng.range(1, 5))});
-    case 6:
-      return Condition::negate(random_condition(rng, depth - 1));
-    case 7: {
-      std::vector<Condition> children;
-      const int n = static_cast<int>(rng.below(4));
-      for (int i = 0; i < n; ++i) {
-        children.push_back(random_condition(rng, depth - 1));
-      }
-      return Condition::all_of(std::move(children));
-    }
-    default: {
-      std::vector<Condition> children;
-      const int n = static_cast<int>(rng.below(4));
-      for (int i = 0; i < n; ++i) {
-        children.push_back(random_condition(rng, depth - 1));
-      }
-      return Condition::any_of(std::move(children));
-    }
-  }
-}
-
-SimpleStateView random_state(Rng& rng) {
-  SimpleStateView s;
-  for (u32 i = 1; i <= 4; ++i) {
-    if (rng.chance(0.5)) s.items[i] = static_cast<int>(rng.below(4));
-  }
-  for (int i = 0; i < 4; ++i) {
-    if (rng.chance(0.5)) s.flags.insert("flag" + std::to_string(i));
-  }
-  s.score_value = rng.range(-20, 120);
-  for (u32 i = 1; i <= 4; ++i) {
-    if (rng.chance(0.5)) s.visited_scenarios.insert(i);
-  }
-  return s;
-}
-
-/// THE equivalence property: compiled VM == AST interpreter, exactly, for
-/// random trees × random states.
-class VmEquivalenceTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(VmEquivalenceTest, VmMatchesInterpreter) {
-  Rng rng(GetParam());
-  for (int t = 0; t < 100; ++t) {
-    const Condition tree = random_condition(rng, 4);
-    const CompiledCondition compiled(tree);
-    for (int s = 0; s < 20; ++s) {
-      const SimpleStateView state = random_state(rng);
-      const bool interpreted = evaluate(tree, state);
-      auto vm = run_program(compiled.program(), state);
-      ASSERT_TRUE(vm.ok());
-      EXPECT_EQ(vm.value(), interpreted)
-          << "tree nodes=" << tree.node_count() << " trial=" << t;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VmEquivalenceTest,
-                         ::testing::Values(101, 202, 303, 404, 505));
-
 // --- RuleBook ---------------------------------------------------------------------
 
 EventRule make_rule(u32 id, Trigger trigger, Condition condition = {},
@@ -392,21 +260,6 @@ TEST(RuleBookTest, DisarmedOnceRulesSkipped) {
   EXPECT_EQ(book.match(click_event(1), s, disarmed).size(), 1u);
   disarmed.insert(1);
   EXPECT_TRUE(book.match(click_event(1), s, disarmed).empty());
-}
-
-TEST(RuleBookTest, EnginesAgree) {
-  std::vector<EventRule> rules{
-      make_rule(1, click_trigger(1),
-                Condition::all_of({Condition::flag_set("a"),
-                                   Condition::score_at_least(5)}))};
-  RuleBook vm_book(rules, GuardEngine::kCompiledVm);
-  RuleBook interp_book(rules, GuardEngine::kInterpreter);
-  SimpleStateView s;
-  s.flags.insert("a");
-  s.score_value = 5;
-  std::unordered_set<u32> disarmed;
-  EXPECT_EQ(vm_book.match(click_event(1), s, disarmed).size(),
-            interp_book.match(click_event(1), s, disarmed).size());
 }
 
 TEST(RuleBookTest, TimersForScenario) {

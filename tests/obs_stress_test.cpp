@@ -1,8 +1,7 @@
 // Races-by-design for the observability subsystem, run under TSan via the
 // `tsan` ctest label: scraping and exporting while worker threads hammer
 // counters/gauges/histograms, trace snapshots taken while spans record,
-// the enable flag flipping mid-flight, and the Logger level gate being
-// read on logging threads while another thread reconfigures it.
+// and the enable flag flipping mid-flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +11,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
 
 namespace vgbl {
 namespace {
@@ -106,32 +104,6 @@ TEST(ObsStress, TraceSnapshotWhileSpansRecord) {
   for (auto& t : tracers) t.join();
   EXPECT_GE(obs::TraceLog::global().ring_count(), 1u);
   obs::TraceLog::global().clear();
-}
-
-TEST(ObsStress, LoggerLevelFlipsWhileLoggingThreadsRun) {
-  Logger::instance().set_sink([](LogLevel, const std::string&) {});
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> loggers;
-  for (int t = 0; t < 4; ++t) {
-    loggers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        VGBL_LOG(kDebug) << "stress";
-        (void)Logger::instance().enabled(LogLevel::kError);
-      }
-    });
-  }
-  // The race this guards: set_level() on one thread vs enabled() on the
-  // loggers. With the atomic level this is TSan-clean; with a plain enum
-  // it was a data race.
-  for (int i = 0; i < 2'000; ++i) {
-    Logger::instance().set_level(i % 2 == 0 ? LogLevel::kTrace
-                                            : LogLevel::kWarn);
-  }
-  Logger::instance().set_level(LogLevel::kWarn);
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : loggers) t.join();
-  Logger::instance().set_sink(nullptr);
 }
 
 }  // namespace
