@@ -68,13 +68,12 @@ std::string arm_json(const ArmResult& arm) {
       row, sizeof row,
       "{\"arm\": \"%s\", \"shards\": %d, \"students\": %d, "
       "\"seconds\": %.3f, \"students_per_sec\": %.1f, "
-      "\"events\": %llu, \"events_per_sec\": %.0f, \"epochs\": %llu, "
+      "\"events\": %llu, \"events_per_sec\": %.0f, "
       "\"max_queue_depth\": %llu, \"fingerprint\": \"%s\"}",
       arm.name.c_str(), arm.shards, arm.summary.total_students(),
       arm.summary.wall_ms / 1e3, arm.students_per_sec,
       static_cast<unsigned long long>(arm.summary.scheduler.events),
       arm.events_per_sec,
-      static_cast<unsigned long long>(arm.summary.scheduler.epochs),
       static_cast<unsigned long long>(arm.summary.scheduler.max_queue_depth),
       hex64(arm.summary.fingerprint).c_str());
   return row;

@@ -13,7 +13,7 @@ namespace vgbl {
 ClassroomSummary simulate_classroom(std::shared_ptr<const GameBundle> bundle,
                                     const ClassroomOptions& options) {
   // Every student writes only its own pre-allocated slot; aggregation
-  // happens after the run barrier, in index order. That plus the pure
+  // happens once the run has drained, in index order. That plus the pure
   // per-student seeding makes every thread/shard combination bit-identical.
   const i64 run_started_us = obs::wall_now_us();
   std::vector<std::optional<StudentResult>> results(
@@ -42,25 +42,16 @@ const char* policy_name(BotPolicy p) {
 
 StreamReplaySummary replay_classroom_stream(
     const GameBundle& bundle, const StreamReplayOptions& options) {
-  StreamingConfig config = options.streaming;
-  config.faults = FaultSchedule::profile(options.fault_profile);
-  if (options.fault_profile == "iid2") {
-    config.network.loss_rate = std::max(config.network.loss_rate, 0.02);
-  }
-  StreamServer server(bundle.video.get(), config, options.seed);
+  StreamServer server(
+      bundle.video.get(),
+      classroom_stream_link(options.streaming, options.fault_profile),
+      options.seed);
   for (int i = 0; i < options.client_count; ++i) {
-    // Path derivation reuses the gameplay engine's per-student seed scheme
-    // so the delivery cohort walks the same kind of scenario paths.
-    Rng rng(classroom_student_seed(options.seed, i + 1));
-    server.add_client(random_student_path(bundle.graph, options.max_hops, rng));
+    server.add_client(classroom_client_path(bundle.graph, options.seed, i,
+                                            options.max_hops));
   }
-  StreamReplaySummary out;
-  out.end_time = server.run(options.deadline);
-  out.aggregate = server.aggregate();
-  out.arq = server.arq_stats();
-  out.packets_sent = server.network().stats().packets_sent;
-  out.packets_lost = server.network().stats().packets_lost;
-  return out;
+  const MicroTime end_time = server.run(options.deadline);
+  return stream_replay_summary(server, end_time);
 }
 
 std::string ClassroomSummary::report() const {

@@ -4,6 +4,7 @@
 // for the multi-client experiments).
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -55,7 +56,7 @@ struct ClassroomSummary {
   f64 mean_play_seconds = 0;
   f64 mean_interactions = 0;
   /// Ranked standings over the cohort (empty without reward rules).
-  /// Built post-barrier in student-id order, so it is bit-identical
+  /// Built after the run in student-id order, so it is bit-identical
   /// across worker-thread counts like every other summary field.
   rewards::Leaderboard leaderboard;
 
@@ -74,12 +75,12 @@ struct ClassroomOptions {
   /// resume from disk for the remaining half. Exercises the full
   /// suspend/recover path under emergent bot play.
   SessionStore* store = nullptr;
-  /// Worker threads executing the DES scheduler's shards within each
-  /// epoch. 0 runs everything on the calling thread; N spins up a
-  /// ThreadPool of N workers (the caller participates too). Every value
-  /// produces the same ClassroomSummary: each student's RNG seed is a pure
-  /// function of (seed, student_id), so no thread count, scheduling order
-  /// or interleaving can leak into the results.
+  /// Worker threads draining the DES scheduler's shards. 0 runs
+  /// everything on the calling thread; N spins up a ThreadPool of N
+  /// workers (the caller participates too). Every value produces the same
+  /// ClassroomSummary: each student's RNG seed is a pure function of
+  /// (seed, student_id), so no thread count, scheduling order or
+  /// interleaving can leak into the results.
   int worker_threads = 0;
   /// Reward rules evaluated inline in every student's session. Null keeps
   /// rewards off (empty leaderboard, exactly the pre-rewards behaviour).
@@ -184,7 +185,7 @@ struct StreamReplayOptions {
   /// Scenario-walk length cap per student (see random_student_path).
   int max_hops = 12;
   /// FaultSchedule::profile name: "clean", "iid2", "bursty", "flap",
-  /// "degraded" or "stress". "iid2" also raises the iid loss rate to 2%.
+  /// "degraded" or "stress" (see classroom_stream_link).
   std::string fault_profile = "clean";
   /// Base delivery config (link shape, ARQ knobs); the fault profile is
   /// applied on top. Defaults to the 40 Mbit school downlink.
@@ -205,7 +206,8 @@ struct StreamReplaySummary {
 };
 
 // Inline (like the fingerprint helpers above) so src/sim's district runner
-// can shape links and print streaming lines without linking vgbl_core.
+// can shape links, walk clients and print streaming lines without linking
+// vgbl_core.
 inline StreamingConfig StreamReplayOptions::classroom_link_defaults() {
   StreamingConfig config;
   config.network.bandwidth_bps = 40'000'000;  // 40 Mbit school downlink
@@ -214,6 +216,41 @@ inline StreamingConfig StreamReplayOptions::classroom_link_defaults() {
   config.network.loss_rate = 0.002;
   config.prefetch_enabled = true;
   return config;
+}
+
+/// The link a classroom cohort streams over: `base` under the named
+/// FaultSchedule::profile, where "iid2" also raises the iid loss rate to at
+/// least 2%.
+inline StreamingConfig classroom_stream_link(StreamingConfig base,
+                                             const std::string& fault_profile) {
+  base.faults = FaultSchedule::profile(fault_profile);
+  if (fault_profile == "iid2") {
+    base.network.loss_rate = std::max(base.network.loss_rate, 0.02);
+  }
+  return base;
+}
+
+/// The scenario walk of 0-based streaming client `index`: the gameplay
+/// engine's per-student seed scheme, so the delivery cohort walks the same
+/// kind of paths the students play.
+inline std::vector<SegmentId> classroom_client_path(const ScenarioGraph& graph,
+                                                    u64 seed, int index,
+                                                    int max_hops) {
+  Rng rng(classroom_student_seed(seed, index + 1));
+  return random_student_path(graph, max_hops, rng);
+}
+
+/// A cohort's delivery outcome, read off its server once the cohort ended
+/// at sim time `end_time`.
+inline StreamReplaySummary stream_replay_summary(const StreamServer& server,
+                                                 MicroTime end_time) {
+  StreamReplaySummary out;
+  out.end_time = end_time;
+  out.aggregate = server.aggregate();
+  out.arq = server.arq_stats();
+  out.packets_sent = server.network().stats().packets_sent;
+  out.packets_lost = server.network().stats().packets_lost;
+  return out;
 }
 
 inline std::string StreamReplaySummary::report() const {

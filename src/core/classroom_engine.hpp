@@ -1,6 +1,6 @@
 // Building blocks of the classroom engine (DESIGN.md §5i): per-student
 // policy and result helpers used by the DES actors in
-// src/sim/classroom_des.cpp, and the post-barrier aggregation shared by
+// src/sim/classroom_des.cpp, and the after-run aggregation shared by
 // simulate_classroom and the district runner. Everything here is inline on
 // purpose — src/sim uses these helpers without linking the classroom
 // engine itself (vgbl_core links vgbl_sim, not the other way around).
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classroom.hpp"
@@ -21,8 +22,8 @@ namespace vgbl::classroom_engine {
 /// Classroom-subsystem metrics, including the LearningTracker aggregates
 /// (interactions, decisions, rewards) so the lecturer-facing §3.3 reward
 /// view and the ops view share one export path. All increments happen in
-/// the deterministic post-barrier aggregation loop — never on worker
-/// threads mid-run — so instrumentation cannot perturb scheduling.
+/// the deterministic after-run aggregation loop — never on worker threads
+/// mid-run — so instrumentation cannot perturb scheduling.
 struct ClassroomMetrics {
   obs::Counter& students;
   obs::Counter& steps;
@@ -93,9 +94,9 @@ inline void fill_student_result(StudentResult& r, const GameSession& session,
 }
 
 /// Commits a finished student's unlock log to the shared badge store from
-/// whichever worker finished it (the concurrency the store's sharded locks
-/// exist for). Durable-store failures do not fail the simulation — the
-/// in-memory summary is already complete.
+/// whichever worker finished it (the store serialises commits).
+/// Durable-store failures do not fail the simulation — the in-memory
+/// summary is already complete.
 inline void commit_unlocks(rewards::BadgeStore* badge_store,
                            const std::string& student,
                            const StudentResult& r) {
@@ -104,7 +105,21 @@ inline void commit_unlocks(rewards::BadgeStore* badge_store,
   (void)committed;
 }
 
-/// Post-barrier aggregation over the per-student result slots: metrics,
+/// A student's standings row under `student_id`. Ledger totals already
+/// include badge bonuses; the row keeps the gameplay score separate so
+/// total_points() counts bonuses once.
+inline rewards::LeaderboardRow leaderboard_row(const StudentResult& s,
+                                               std::string student_id) {
+  rewards::LeaderboardRow row;
+  row.student_id = std::move(student_id);
+  row.badges = static_cast<int>(s.unlocks.size());
+  row.badge_points = s.badge_points;
+  row.score = s.score - s.badge_points;
+  for (const auto& u : s.unlocks) row.badge_names.push_back(u.badge);
+  return row;
+}
+
+/// After-run aggregation over the per-student result slots: metrics,
 /// cohort means and the ranked leaderboard, all in index order. Actors
 /// fill slots in whatever order the event shards run them; this one
 /// function funnels them into the summary, so summary bits cannot depend
@@ -160,15 +175,8 @@ inline ClassroomSummary aggregate_classroom_results(
   if (options.reward_rules != nullptr) {
     std::vector<rewards::LeaderboardRow> rows;
     for (const auto& s : summary.students) {
-      rewards::LeaderboardRow row;
-      row.student_id = "student-" + std::to_string(s.student_id);
-      row.badges = static_cast<int>(s.unlocks.size());
-      row.badge_points = s.badge_points;
-      // Ledger totals already include badge bonuses; the row keeps the
-      // gameplay score separate so total_points() counts bonuses once.
-      row.score = s.score - s.badge_points;
-      for (const auto& u : s.unlocks) row.badge_names.push_back(u.badge);
-      rows.push_back(std::move(row));
+      rows.push_back(
+          leaderboard_row(s, "student-" + std::to_string(s.student_id)));
     }
     summary.leaderboard = rewards::build_leaderboard(std::move(rows));
     rewards::export_leaderboard_metrics(summary.leaderboard);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <utility>
 
@@ -257,21 +256,15 @@ std::string BadgeStore::journal_path() const {
       .string();
 }
 
-BadgeStore::Shard& BadgeStore::shard_for(const std::string& student_id) {
-  return shards_[std::hash<std::string>{}(student_id) % kShards];
-}
-
-const BadgeStore::Shard& BadgeStore::shard_for(
-    const std::string& student_id) const {
-  return shards_[std::hash<std::string>{}(student_id) % kShards];
+StudentBadges& BadgeStore::record_for(const std::string& student_id) {
+  StudentBadges& record = students_[student_id];
+  if (record.student_id.empty()) record.student_id = student_id;
+  return record;
 }
 
 bool BadgeStore::apply_grant(const std::string& student_id,
                              const BadgeGrant& grant) {
-  Shard& shard = shard_for(student_id);
-  MutexLock lock(shard.mutex);
-  StudentBadges& record = shard.students[student_id];
-  if (record.student_id.empty()) record.student_id = student_id;
+  StudentBadges& record = record_for(student_id);
   if (has_rule(record, grant.rule_id)) return false;
   record.total_points += grant.points;
   record.grants.push_back(grant);
@@ -286,7 +279,7 @@ Status BadgeStore::load() {
                     options_.directory + "': " + ec.message());
   }
 
-  MutexLock lock(journal_mutex_);
+  MutexLock lock(mutex_);
   sequence_ = 0;
   auto snap_data = read_binary_file(snapshot_path());
   if (snap_data.ok()) {
@@ -294,10 +287,8 @@ Status BadgeStore::load() {
     if (!snap.ok()) return snap.error();
     sequence_ = snap.value().sequence;
     for (StudentBadges& s : snap.value().students) {
-      Shard& shard = shard_for(s.student_id);
-      MutexLock shard_lock(shard.mutex);
       std::string id = s.student_id;
-      shard.students[std::move(id)] = std::move(s);
+      students_[std::move(id)] = std::move(s);
     }
   } else if (snap_data.error().code != ErrorCode::kNotFound) {
     return snap_data.error();
@@ -320,11 +311,7 @@ Status BadgeStore::load() {
     (void)apply_grant(g.student_id, g.grant);
   }
   for (const auto& [student_id, commits] : replay.value().commits) {
-    Shard& shard = shard_for(student_id);
-    MutexLock shard_lock(shard.mutex);
-    StudentBadges& record = shard.students[student_id];
-    if (record.student_id.empty()) record.student_id = student_id;
-    record.commits += commits;
+    record_for(student_id).commits += commits;
   }
   // No complete header: the journal is absent, or a crash hit between its
   // truncate and its header write. Start a fresh one at the snapshot.
@@ -357,45 +344,40 @@ Result<u32> BadgeStore::commit(const std::string& student_id,
   VGBL_SPAN("rewards.store_commit");
   VGBL_TIMER(metrics.commit_ms);
 
-  MutexLock journal_lock(journal_mutex_);
+  MutexLock lock(mutex_);
   if (!journal_.has_value()) {
     return failed_precondition("badge store journal is not open");
   }
   u32 fresh = 0;
   u32 duplicates = 0;
-  {
-    Shard& shard = shard_for(student_id);
-    MutexLock shard_lock(shard.mutex);
-    StudentBadges& record = shard.students[student_id];
-    if (record.student_id.empty()) record.student_id = student_id;
-    for (const Unlock& unlock : unlocks) {
-      if (has_rule(record, unlock.rule_id)) {
-        ++duplicates;
-        continue;
-      }
-      const BadgeGrant grant{unlock.rule_id, unlock.badge, unlock.points,
-                             unlock.sim_time};
-      // WAL: the grant reaches the journal before the in-memory record.
-      ByteWriter payload;
-      write_grant_payload(payload, student_id, grant);
-      if (auto appended = journal_->append(
-              static_cast<u8>(RecordKind::kGrant), payload.bytes());
-          !appended.ok()) {
-        return appended.error();
-      }
-      record.total_points += grant.points;
-      record.grants.push_back(grant);
-      ++fresh;
+  StudentBadges& record = record_for(student_id);
+  for (const Unlock& unlock : unlocks) {
+    if (has_rule(record, unlock.rule_id)) {
+      ++duplicates;
+      continue;
     }
+    const BadgeGrant grant{unlock.rule_id, unlock.badge, unlock.points,
+                           unlock.sim_time};
+    // WAL: the grant reaches the journal before the in-memory record.
     ByteWriter payload;
-    payload.put_string(student_id);
-    if (auto appended = journal_->append(static_cast<u8>(RecordKind::kCommit),
+    write_grant_payload(payload, student_id, grant);
+    if (auto appended = journal_->append(static_cast<u8>(RecordKind::kGrant),
                                          payload.bytes());
         !appended.ok()) {
       return appended.error();
     }
-    record.commits += 1;
+    record.total_points += grant.points;
+    record.grants.push_back(grant);
+    ++fresh;
   }
+  ByteWriter payload;
+  payload.put_string(student_id);
+  if (auto appended = journal_->append(static_cast<u8>(RecordKind::kCommit),
+                                       payload.bytes());
+      !appended.ok()) {
+    return appended.error();
+  }
+  record.commits += 1;
   VGBL_COUNT(metrics.commits);
   VGBL_COUNT(metrics.grants, fresh);
   VGBL_COUNT(metrics.duplicates, duplicates);
@@ -403,10 +385,9 @@ Result<u32> BadgeStore::commit(const std::string& student_id,
 }
 
 StudentBadges BadgeStore::student(const std::string& student_id) const {
-  const Shard& shard = shard_for(student_id);
-  MutexLock lock(shard.mutex);
-  const auto it = shard.students.find(student_id);
-  if (it == shard.students.end()) {
+  MutexLock lock(mutex_);
+  const auto it = students_.find(student_id);
+  if (it == students_.end()) {
     StudentBadges empty;
     empty.student_id = student_id;
     return empty;
@@ -415,43 +396,34 @@ StudentBadges BadgeStore::student(const std::string& student_id) const {
 }
 
 std::vector<StudentBadges> BadgeStore::all() const {
+  MutexLock lock(mutex_);
+  return all_locked();
+}
+
+std::vector<StudentBadges> BadgeStore::all_locked() const {
   std::vector<StudentBadges> out;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const auto& [id, record] : shard.students) {
-      out.push_back(record);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StudentBadges& a, const StudentBadges& b) {
-              return a.student_id < b.student_id;
-            });
+  out.reserve(students_.size());
+  for (const auto& [id, record] : students_) out.push_back(record);
   return out;
 }
 
 size_t BadgeStore::student_count() const {
-  size_t count = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    count += shard.students.size();
-  }
-  return count;
+  MutexLock lock(mutex_);
+  return students_.size();
 }
 
 u64 BadgeStore::sequence() const {
-  MutexLock lock(journal_mutex_);
+  MutexLock lock(mutex_);
   return sequence_;
 }
 
 Status BadgeStore::checkpoint() {
-  MutexLock lock(journal_mutex_);
+  MutexLock lock(mutex_);
   return checkpoint_locked();
 }
 
 Status BadgeStore::checkpoint_locked() {
-  // Holding the journal mutex excludes every writer (commit requires it),
-  // so copying shard by shard still yields a consistent cut.
-  const std::vector<StudentBadges> students = all();
+  const std::vector<StudentBadges> students = all_locked();
   const u64 next_sequence = sequence_ + 1;
   const Bytes snapshot = encode_store_snapshot(next_sequence, students);
   if (auto st = write_binary_file_atomic(snapshot_path(), snapshot);

@@ -27,18 +27,15 @@
 // with a barrier at the snapshot's sequence; a CRC failure anywhere else
 // is kCorruptData.
 //
-// Concurrency. Safe to share across the classroom worker pool: in-memory
-// student records live in lock-sharded maps (VGBL_GUARDED_BY, keyed by
-// student-id hash) so readers — leaderboard builds, exporter scrapes —
-// only contend with writers on the same shard. Writers additionally
-// serialise on the journal mutex (append order = file order); lock order
-// is journal -> shard everywhere, so commits and checkpoints never
-// deadlock. Per-student commit streams stay deterministic regardless of
-// cross-student interleaving: the unlock stream committed for a student
-// is produced by that student's (deterministic) session.
+// Concurrency. Safe to share across the classroom worker pool: one mutex
+// guards the journal, the snapshot sequence and the student records (one
+// map sorted by student id), so commits, checkpoints, recovery and
+// readers serialise on it, and append order is file order. Per-student
+// commit streams stay deterministic regardless of cross-student
+// interleaving: the unlock stream committed for a student is produced by
+// that student's (deterministic) session.
 #pragma once
 
-#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -98,22 +95,23 @@ class BadgeStore {
   /// more in `commits`. Returns the number of *new* grants applied.
   [[nodiscard]] Result<u32> commit(const std::string& student_id,
                                    std::span<const Unlock> unlocks)
-      VGBL_EXCLUDES(journal_mutex_);
+      VGBL_EXCLUDES(mutex_);
 
   /// Copy of the student's record (empty record when unknown).
-  [[nodiscard]] StudentBadges student(const std::string& student_id) const;
+  [[nodiscard]] StudentBadges student(const std::string& student_id) const
+      VGBL_EXCLUDES(mutex_);
 
   /// Copies of every student record, sorted by student id.
-  [[nodiscard]] std::vector<StudentBadges> all() const;
+  [[nodiscard]] std::vector<StudentBadges> all() const VGBL_EXCLUDES(mutex_);
 
-  [[nodiscard]] size_t student_count() const;
+  [[nodiscard]] size_t student_count() const VGBL_EXCLUDES(mutex_);
 
   /// Snapshots every record and compacts the journal. The journal alone
   /// protects every grant, so checkpoints only bound recovery time.
-  [[nodiscard]] Status checkpoint() VGBL_EXCLUDES(journal_mutex_);
+  [[nodiscard]] Status checkpoint() VGBL_EXCLUDES(mutex_);
 
   /// Sequence of the latest snapshot on disk (0: none yet).
-  [[nodiscard]] u64 sequence() const VGBL_EXCLUDES(journal_mutex_);
+  [[nodiscard]] u64 sequence() const VGBL_EXCLUDES(mutex_);
 
   [[nodiscard]] const std::string& directory() const {
     return options_.directory;
@@ -122,37 +120,31 @@ class BadgeStore {
   [[nodiscard]] std::string journal_path() const;
 
  private:
-  /// Same shard count as SessionStore: comfortably above typical worker
-  /// pools, so two students rarely share a lock.
-  static constexpr size_t kShards = 32;
-
-  struct Shard {
-    mutable Mutex mutex;
-    std::map<std::string, StudentBadges> students VGBL_GUARDED_BY(mutex);
-  };
-
   explicit BadgeStore(BadgeStoreOptions options)
       : options_(std::move(options)) {}
 
-  [[nodiscard]] Shard& shard_for(const std::string& student_id);
-  [[nodiscard]] const Shard& shard_for(const std::string& student_id) const;
-
-  /// Recovery: parse snapshot + journal into the shards. Runs before the
-  /// store is shared, but takes the locks anyway to keep TSA exact.
-  Status load() VGBL_EXCLUDES(journal_mutex_);
-  Status checkpoint_locked() VGBL_REQUIRES(journal_mutex_);
+  /// Recovery: parse snapshot + journal into the records. Runs before the
+  /// store is shared, but takes the lock anyway to keep TSA exact.
+  Status load() VGBL_EXCLUDES(mutex_);
+  Status checkpoint_locked() VGBL_REQUIRES(mutex_);
+  [[nodiscard]] std::vector<StudentBadges> all_locked() const
+      VGBL_REQUIRES(mutex_);
   /// Truncates the journal to a header plus a barrier at `sequence_`.
-  Status create_journal() VGBL_REQUIRES(journal_mutex_);
+  Status create_journal() VGBL_REQUIRES(mutex_);
+  /// The student's record, created empty on first use.
+  StudentBadges& record_for(const std::string& student_id)
+      VGBL_REQUIRES(mutex_);
   /// Applies one grant to the in-memory record; returns false when the
   /// rule was already granted (duplicate).
-  bool apply_grant(const std::string& student_id, const BadgeGrant& grant);
+  bool apply_grant(const std::string& student_id, const BadgeGrant& grant)
+      VGBL_REQUIRES(mutex_);
 
   BadgeStoreOptions options_;
-  mutable std::array<Shard, kShards> shards_;
 
-  mutable Mutex journal_mutex_;
-  std::optional<framed::LogWriter> journal_ VGBL_GUARDED_BY(journal_mutex_);
-  u64 sequence_ VGBL_GUARDED_BY(journal_mutex_) = 0;
+  mutable Mutex mutex_;
+  std::optional<framed::LogWriter> journal_ VGBL_GUARDED_BY(mutex_);
+  u64 sequence_ VGBL_GUARDED_BY(mutex_) = 0;
+  std::map<std::string, StudentBadges> students_ VGBL_GUARDED_BY(mutex_);
 };
 
 }  // namespace vgbl::rewards

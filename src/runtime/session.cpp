@@ -858,115 +858,6 @@ void GameSession::tick() {
   drain_rewards();
 }
 
-// --- Save games --------------------------------------------------------------------
-
-Json GameSession::save_state() const {
-  Json out = Json::object();
-  auto& o = out.mutable_object();
-  o.set("current_scenario", Json(current_.value));
-  o.set("score", Json(ledger_.total()));
-  o.set("game_over", Json(game_over_));
-  o.set("success", Json(success_));
-  JsonArray inv;
-  for (const auto& slot : inventory_.slots()) {
-    Json sj = Json::object();
-    auto& so = sj.mutable_object();
-    so.set("item", Json(slot.item.value));
-    so.set("count", Json(slot.count));
-    inv.push_back(std::move(sj));
-  }
-  o.set("inventory", Json(std::move(inv)));
-  JsonArray flags;
-  std::vector<std::string> sorted_flags(flags_.begin(), flags_.end());
-  std::sort(sorted_flags.begin(), sorted_flags.end());
-  for (const auto& f : sorted_flags) flags.push_back(Json(f));
-  o.set("flags", Json(std::move(flags)));
-  JsonArray visited;
-  std::vector<u32> sorted_visited(visited_.begin(), visited_.end());
-  std::sort(sorted_visited.begin(), sorted_visited.end());
-  for (u32 v : sorted_visited) visited.push_back(Json(v));
-  o.set("visited", Json(std::move(visited)));
-  JsonArray disarmed;
-  std::vector<u32> sorted_disarmed(disarmed_.begin(), disarmed_.end());
-  std::sort(sorted_disarmed.begin(), sorted_disarmed.end());
-  for (u32 d : sorted_disarmed) disarmed.push_back(Json(d));
-  o.set("disarmed", Json(std::move(disarmed)));
-  JsonArray overrides;
-  std::vector<std::pair<u32, bool>> sorted_overrides(
-      visibility_override_.begin(), visibility_override_.end());
-  std::sort(sorted_overrides.begin(), sorted_overrides.end());
-  for (const auto& [id, vis] : sorted_overrides) {
-    Json oj = Json::object();
-    auto& oo = oj.mutable_object();
-    oo.set("object", Json(id));
-    oo.set("visible", Json(vis));
-    overrides.push_back(std::move(oj));
-  }
-  o.set("visibility", Json(std::move(overrides)));
-  return out;
-}
-
-Status GameSession::load_state(const Json& snapshot) {
-  if (!snapshot.is_object()) return corrupt_data("save state must be an object");
-  const ScenarioId scenario{
-      static_cast<u32>(snapshot["current_scenario"].as_int())};
-  if (!bundle_->graph.find(scenario)) {
-    return corrupt_data("save references missing scenario " +
-                        std::to_string(scenario.value));
-  }
-
-  // Rebuild mutable state from the snapshot.
-  inventory_ = Inventory(&bundle_->items, options_.inventory_capacity);
-  for (const auto& sj : snapshot["inventory"].as_array()) {
-    const ItemId item{static_cast<u32>(sj["item"].as_int())};
-    const int count = static_cast<int>(sj["count"].as_int());
-    if (auto st = inventory_.add(item, count); !st.ok()) return st;
-  }
-  flags_.clear();
-  for (const auto& f : snapshot["flags"].as_array()) {
-    flags_.insert(f.as_string());
-  }
-  visited_.clear();
-  for (const auto& v : snapshot["visited"].as_array()) {
-    visited_.insert(static_cast<u32>(v.as_int()));
-  }
-  disarmed_.clear();
-  for (const auto& d : snapshot["disarmed"].as_array()) {
-    disarmed_.insert(static_cast<u32>(d.as_int()));
-  }
-  visibility_override_.clear();
-  for (const auto& oj : snapshot["visibility"].as_array()) {
-    visibility_override_[static_cast<u32>(oj["object"].as_int())] =
-        oj["visible"].as_bool();
-  }
-
-  ledger_ = ScoreLedger{};
-  const i64 score = snapshot["score"].as_int();
-  if (score != 0) ledger_.award(score, {"restored save"}, clock_->now());
-
-  game_over_ = snapshot["game_over"].as_bool(false);
-  success_ = snapshot["success"].as_bool(false);
-  started_ = true;
-  dialogue_.reset();
-  ui_.hide_dialogue();
-
-  // Re-enter the saved scenario without re-firing enter events (the save
-  // was taken mid-scenario; re-firing would duplicate one-shot effects —
-  // but disarmed_ already guards the once-rules, and non-once enter rules
-  // are expected to be idempotent scene dressing; we restart the video).
-  const Scenario* s = bundle_->graph.find(scenario);
-  current_ = scenario;
-  scene_ = bundle_->objects_of(scenario);
-  scenario_entered_at_ = clock_->now();
-  segment_end_fired_ = false;
-  if (auto st = player_.play_segment(s->segment, clock_->now()); !st.ok()) {
-    return st;
-  }
-  arm_timers();
-  log({"save state restored"});
-  return {};
-}
-
 // --- Session persistence -----------------------------------------------------------
 
 SessionState GameSession::capture_state() const {

@@ -169,12 +169,6 @@ class GameSession {
   /// The video player's frame index within the current segment.
   [[nodiscard]] int current_frame_index() const;
 
-  // --- Save games ------------------------------------------------------------
-  /// Serialises mutable play state (not the bundle).
-  [[nodiscard]] Json save_state() const;
-  /// Restores a save produced by `save_state` against the same bundle.
-  Status load_state(const Json& snapshot);
-
   // --- Session persistence (src/persist) -------------------------------------
   /// Captures the complete mutable state — scenario position, backpack,
   /// score ledger, flags, armed timers, avatar pose, mid-dialogue/quiz

@@ -48,9 +48,9 @@ void StudentActor::begin(Context& ctx) {
     clock_ = std::make_unique<SimClock>();
     SessionOptions session_options;
     session_options.reward_rules = options_->reward_rules;
-    // Synchronous decode: a DES cohort keeps every student's session alive
-    // at once, so per-session decode pools would exhaust OS threads at
-    // district scale (100k+ students).
+    // Synchronous decode: a draining shard keeps every one of its
+    // students' sessions alive at once, so per-session decode pools would
+    // exhaust OS threads at district scale (100k+ students).
     session_options.decode_threads = 0;
     session_ =
         std::make_unique<GameSession>(bundle_, clock_.get(), session_options);

@@ -24,7 +24,8 @@ namespace vgbl::sim {
 /// remaining budget under seed+1.
 ///
 /// Session state is allocated lazily at the first firing and released at
-/// the last, so a district run's footprint tracks *live* students.
+/// the last, so a district run's footprint tracks *live* students: those
+/// of the shards draining now.
 class StudentActor : public Actor {
  public:
   /// `options` and `slot` must outlive the scheduler run. `slot` is this

@@ -1,6 +1,5 @@
 #include "sim/district.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/classroom_engine.hpp"
@@ -15,9 +14,9 @@ namespace vgbl::sim {
 
 namespace {
 
-/// District-level metrics. Updated once per run, after the scheduler's
-/// final barrier, on the calling thread — same observe-only discipline as
-/// the classroom aggregation.
+/// District-level metrics. Updated once per run, after every scheduler
+/// shard has drained, on the calling thread — same observe-only discipline
+/// as the classroom aggregation.
 struct DistrictMetrics {
   obs::Counter& runs;
   obs::Gauge& students;
@@ -56,15 +55,6 @@ struct ClassroomState {
   std::unique_ptr<StreamServer> stream_server;
   std::unique_ptr<StreamActor> stream_actor;
 };
-
-StreamingConfig district_stream_config(const DistrictOptions& options) {
-  StreamingConfig config = StreamReplayOptions::classroom_link_defaults();
-  config.faults = FaultSchedule::profile(options.fault_profile);
-  if (options.fault_profile == "iid2") {
-    config.network.loss_rate = std::max(config.network.loss_rate, 0.02);
-  }
-  return config;
-}
 
 }  // namespace
 
@@ -126,13 +116,15 @@ Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
 
     if (options.stream) {
       room.stream_server = std::make_unique<StreamServer>(
-          bundle->video.get(), district_stream_config(options), room_seed);
+          bundle->video.get(),
+          classroom_stream_link(StreamReplayOptions::classroom_link_defaults(),
+                                options.fault_profile),
+          room_seed);
       const int clients =
           options.stream_clients > 0 ? options.stream_clients : per_room;
       for (int i = 0; i < clients; ++i) {
-        Rng rng(classroom_student_seed(room_seed, i + 1));
-        room.stream_server->add_client(
-            random_student_path(bundle->graph, options.stream_max_hops, rng));
+        room.stream_server->add_client(classroom_client_path(
+            bundle->graph, room_seed, i, options.stream_max_hops));
       }
       room.stream_actor = std::make_unique<StreamActor>(
           room.stream_server.get(), options.stream_deadline);
@@ -143,12 +135,11 @@ Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
   sched.shards = options.shards > 0 ? static_cast<u32>(options.shards)
                                     : static_cast<u32>(classrooms);
   sched.worker_threads = options.worker_threads;
-  sched.epoch_width = options.epoch_width;
   Scheduler scheduler(sched);
 
   // Whole classrooms pin to shards: students of one room share its stores,
   // so keeping the room on one shard keeps store access single-threaded
-  // within an epoch while rooms run in parallel.
+  // while rooms drain in parallel.
   std::vector<std::unique_ptr<StudentActor>> students;
   students.reserve(static_cast<size_t>(classrooms) *
                    static_cast<size_t>(per_room));
@@ -170,8 +161,8 @@ Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
   DistrictSummary out;
   out.scheduler = scheduler.run();
 
-  // Post-barrier aggregation, classroom by classroom in index order — the
-  // district-level mirror of the classroom contract.
+  // Aggregation after the run, classroom by classroom in index order —
+  // the district-level mirror of the classroom contract.
   for (int c = 0; c < classrooms; ++c) {
     ClassroomState& room = rooms[static_cast<size_t>(c)];
     DistrictClassroomResult result;
@@ -179,15 +170,10 @@ Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
         std::move(room.results), room.options, run_started_us);
     result.fingerprint = classroom_fingerprint(result.summary);
     if (room.stream_server != nullptr) {
-      StreamReplaySummary stream;
-      stream.end_time = room.stream_actor->finished()
-                            ? room.stream_actor->end_time()
-                            : options.stream_deadline;
-      stream.aggregate = room.stream_server->aggregate();
-      stream.arq = room.stream_server->arq_stats();
-      stream.packets_sent = room.stream_server->network().stats().packets_sent;
-      stream.packets_lost = room.stream_server->network().stats().packets_lost;
-      result.stream = std::move(stream);
+      result.stream = stream_replay_summary(
+          *room.stream_server, room.stream_actor->finished()
+                                   ? room.stream_actor->end_time()
+                                   : options.stream_deadline);
     }
     out.classrooms.push_back(std::move(result));
   }
@@ -198,14 +184,9 @@ Result<DistrictSummary> run_district(std::shared_ptr<const GameBundle> bundle,
       const ClassroomSummary& summary =
           out.classrooms[static_cast<size_t>(c)].summary;
       for (const StudentResult& s : summary.students) {
-        rewards::LeaderboardRow row;
-        row.student_id = "c" + std::to_string(c + 1) + "/student-" +
-                         std::to_string(s.student_id);
-        row.badges = static_cast<int>(s.unlocks.size());
-        row.badge_points = s.badge_points;
-        row.score = s.score - s.badge_points;
-        for (const auto& u : s.unlocks) row.badge_names.push_back(u.badge);
-        district_rows.push_back(std::move(row));
+        district_rows.push_back(classroom_engine::leaderboard_row(
+            s, "c" + std::to_string(c + 1) + "/student-" +
+                   std::to_string(s.student_id)));
       }
     }
     out.leaderboard = rewards::build_leaderboard(std::move(district_rows));
@@ -256,10 +237,8 @@ std::string DistrictSummary::report() const {
   out += "=== District summary (" + std::to_string(classrooms.size()) +
          " classrooms, " + std::to_string(total_students()) +
          " students) ===\n";
-  out += "timeline: " + std::to_string(scheduler.events) + " events in " +
-         std::to_string(scheduler.epochs) + " epochs, " +
-         std::to_string(scheduler.mails_delivered) +
-         " cross-shard mails, peak queue depth " +
+  out += "timeline: " + std::to_string(scheduler.events) +
+         " events, peak shard queue depth " +
          std::to_string(scheduler.max_queue_depth) + "\n";
   out += "fingerprint: " + hex64(fingerprint) + "\n";
   out += pad_right("room", 6) + pad_right("students", 10) +

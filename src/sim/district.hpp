@@ -2,7 +2,8 @@
 // one DES timeline. Each classroom keeps its own seed lineage, optional
 // SessionStore shard + journal + BadgeStore, and optional streaming
 // cohort; classrooms map to event-queue shards, so a district run is the
-// scheduler's natural parallel shape. After the final barrier the
+// scheduler's natural parallel shape, and a drained shard's sessions are
+// gone before the next shard starts. Once every shard has drained, the
 // per-classroom summaries aggregate into a district-wide ranked
 // leaderboard and a combined fingerprint that must be bit-identical
 // across shard counts, worker-thread counts and reruns.
@@ -34,8 +35,6 @@ struct DistrictOptions {
   /// Event-queue shards (0: one per classroom). Bit-identical across any
   /// value.
   int shards = 0;
-  /// Scheduler epoch width (part of the cross-shard message contract).
-  MicroTime epoch_width = milliseconds(100);
 
   /// Reward rules evaluated in every session; also enables classroom and
   /// district leaderboards. Null keeps rewards off everywhere.
@@ -74,7 +73,7 @@ struct DistrictClassroomResult {
 struct DistrictSummary {
   std::vector<DistrictClassroomResult> classrooms;
   /// District-wide standings (empty without reward rules). Rows carry
-  /// classroom-qualified ids ("c3/student-7"); built post-barrier in
+  /// classroom-qualified ids ("c3/student-7"); built after the run in
   /// (classroom, student) order, so ranking ties resolve identically on
   /// every run.
   rewards::Leaderboard leaderboard;

@@ -12,46 +12,35 @@ namespace vgbl::sim {
 
 namespace {
 
-/// Scheduler metrics. Every update happens on the coordinating thread at
-/// an epoch barrier (or after run() drains), never inside a worker's shard
-/// loop, so instrumentation cannot perturb event execution.
+/// Scheduler metrics. Every update happens on the calling thread after
+/// every shard has drained, never inside a shard loop, so instrumentation
+/// cannot perturb event execution.
 struct SimMetrics {
   obs::Counter& events;
-  obs::Counter& epochs;
-  obs::Counter& mails;
   obs::Gauge& queue_depth;
-  obs::Gauge& epoch_width_us;
   obs::Gauge& events_per_sec;
-  obs::Histogram& epoch_events;
 
   static SimMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
     static SimMetrics m{
         reg.counter("sim_events_total", "DES events executed"),
-        reg.counter("sim_epochs_total", "DES parallel epochs run"),
-        reg.counter("sim_mail_delivered_total",
-                    "cross-actor messages merged at epoch barriers"),
         reg.gauge("sim_queue_depth",
-                  "pending DES events across shards at the last barrier"),
-        reg.gauge("sim_epoch_width_us", "DES parallel window width"),
+                  "largest event queue one shard held in the latest "
+                  "scheduler run"),
         reg.gauge("sim_events_per_sec",
-                  "event throughput of the latest scheduler run"),
-        reg.histogram("sim_epoch_events",
-                      obs::exponential_buckets(1, 4, 12),
-                      "events executed per epoch")};
+                  "event throughput of the latest scheduler run")};
     return m;
   }
 };
 
 }  // namespace
 
-Scheduler::Scheduler(SchedulerOptions options) : options_(options) {
-  options_.shards = std::max(1u, options_.shards);
-  options_.epoch_width = std::max<MicroTime>(1, options_.epoch_width);
-  shards_.resize(options_.shards);
-  if (options_.worker_threads > 0 && options_.shards > 1) {
+Scheduler::Scheduler(SchedulerOptions options) {
+  const u32 shards = std::max(1u, options.shards);
+  shards_.resize(shards);
+  if (options.worker_threads > 0 && shards > 1) {
     pool_ = std::make_unique<ThreadPool>(
-        static_cast<unsigned>(options_.worker_threads));
+        static_cast<unsigned>(options.worker_threads));
   }
 }
 
@@ -76,36 +65,29 @@ u32 Scheduler::shard_count() const {
   return static_cast<u32>(shards_.size());
 }
 
-void Scheduler::push_event(u32 shard, MicroTime at, ActorId actor, u64 tag) {
+void Scheduler::push_event(u32 shard, MicroTime at, ActorId actor) {
   Shard& s = shards_[shard];
-  s.queue.push(Event{at, shard, actor, s.next_seq++, tag});
+  s.queue.push(Event{at, actor, s.next_seq++});
+  s.max_depth = std::max<u64>(s.max_depth, s.queue.size());
 }
 
-void Scheduler::schedule(ActorId actor, MicroTime at, u64 tag) {
-  push_event(actors_[actor].shard, at, actor, tag);
+void Scheduler::schedule(ActorId actor, MicroTime at) {
+  push_event(actors_[actor].shard, at, actor);
 }
 
-void Context::schedule(MicroTime at, u64 tag) {
-  scheduler_->push_event(shard_, std::max(at, event_->time), event_->actor,
-                         tag);
+void Context::schedule(MicroTime at) {
+  scheduler_->push_event(shard_, std::max(at, event_->time), event_->actor);
 }
 
-void Context::post(ActorId to, MicroTime at, u64 tag) {
-  Scheduler::Shard& shard = scheduler_->shards_[shard_];
-  shard.outbox.push_back(Scheduler::Mail{std::max(at, event_->time), to, tag,
-                                         event_->actor, shard.mail_seq++});
-}
-
-void Scheduler::run_shard(u32 shard_index, MicroTime epoch_end) {
-  // Only this worker touches this shard during the epoch: the queue, the
-  // outbox and every actor mapped here are shard-private by construction,
-  // so the loop is lock-free and the pop order is the deterministic
-  // (time, shard, actor, seq) key order.
+void Scheduler::run_shard(u32 shard_index) {
+  // Only one thread drains a shard: the queue and every actor mapped here
+  // are shard-private by construction, so the loop is lock-free and the
+  // pop order is the deterministic (time, actor, seq) key order.
   Shard& shard = shards_[shard_index];
   Context ctx;
   ctx.scheduler_ = this;
   ctx.shard_ = shard_index;
-  while (!shard.queue.empty() && shard.queue.top().time < epoch_end) {
+  while (!shard.queue.empty()) {
     const Event event = shard.queue.top();
     shard.queue.pop();
     ctx.event_ = &event;
@@ -115,95 +97,39 @@ void Scheduler::run_shard(u32 shard_index, MicroTime epoch_end) {
   }
 }
 
-void Scheduler::deliver_mail(MicroTime epoch_end) {
-  std::vector<Mail> mail;
-  for (Shard& shard : shards_) {
-    mail.insert(mail.end(), shard.outbox.begin(), shard.outbox.end());
-    shard.outbox.clear();
-  }
-  if (mail.empty()) return;
-  // Quantize to the barrier, then merge in (time, sender, sender-seq)
-  // order. The sender-seq only breaks ties between one sender's own posts
-  // (posting order), so the merged order cannot depend on how actors were
-  // packed into shards — the cross-shard determinism contract.
-  for (Mail& m : mail) m.at = std::max(m.at, epoch_end);
-  std::sort(mail.begin(), mail.end(), [](const Mail& a, const Mail& b) {
-    return std::tie(a.at, a.from, a.from_seq) <
-           std::tie(b.at, b.from, b.from_seq);
-  });
-  for (const Mail& m : mail) {
-    push_event(actors_[m.to].shard, m.at, m.to, m.tag);
-  }
-  stats_.mails_delivered += mail.size();
-  VGBL_COUNT(SimMetrics::get().mails, mail.size());
-}
-
-u64 Scheduler::pending_events() const {
-  u64 depth = 0;
-  for (const Shard& shard : shards_) depth += shard.queue.size();
-  return depth;
-}
-
 SchedulerStats Scheduler::run() {
   const i64 t0_us = obs::wall_now_us();
   // The run span rides a clock mirroring the timeline: it is advanced to
-  // each epoch's end at the barrier, so the trace shows sim-time progress.
-  SimClock epoch_clock;
-  VGBL_SPAN("sim.run", &epoch_clock);
-  SimMetrics& metrics = SimMetrics::get();
-  VGBL_GAUGE_SET(metrics.epoch_width_us,
-                 static_cast<f64>(options_.epoch_width));
+  // the last event's time once the shards drain, so the trace shows how
+  // much sim time the run covered.
+  SimClock timeline;
+  VGBL_SPAN("sim.run", &timeline);
 
   const i64 shard_count = static_cast<i64>(shards_.size());
-  while (true) {
-    bool any = false;
-    MicroTime t_min = 0;
-    for (const Shard& shard : shards_) {
-      if (!shard.queue.empty() &&
-          (!any || shard.queue.top().time < t_min)) {
-        t_min = shard.queue.top().time;
-        any = true;
-      }
-    }
-    if (!any) break;
-    const MicroTime epoch_end = t_min + options_.epoch_width;
-
-    if (pool_ != nullptr) {
-      pool_->parallel_for(
-          0, shard_count,
-          [&](i64 i) { run_shard(static_cast<u32>(i), epoch_end); },
-          /*grain=*/1);
-    } else {
-      for (i64 i = 0; i < shard_count; ++i) {
-        run_shard(static_cast<u32>(i), epoch_end);
-      }
-    }
-    // Barrier: merge cross-shard mail, then refresh stats and gauges from
-    // the coordinating thread only.
-    deliver_mail(epoch_end);
-    ++stats_.epochs;
-    u64 executed = 0;
-    for (const Shard& shard : shards_) {
-      executed += shard.events_executed;
-      stats_.end_time = std::max(stats_.end_time, shard.last_event_time);
-    }
-    const u64 epoch_events = executed - stats_.events;
-    stats_.events = executed;
-    const u64 depth = pending_events();
-    stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
-    VGBL_COUNT(metrics.events, epoch_events);
-    VGBL_COUNT(metrics.epochs);
-    VGBL_OBSERVE(metrics.epoch_events, static_cast<f64>(epoch_events));
-    VGBL_GAUGE_SET(metrics.queue_depth, static_cast<f64>(depth));
-    if (obs::enabled() && epoch_clock.now() < epoch_end) {
-      epoch_clock.advance_to(epoch_end);
-    }
+  if (pool_ != nullptr) {
+    pool_->parallel_for(
+        0, shard_count, [&](i64 i) { run_shard(static_cast<u32>(i)); },
+        /*grain=*/1);
+  } else {
+    for (i64 i = 0; i < shard_count; ++i) run_shard(static_cast<u32>(i));
   }
+
+  u64 events = 0;
+  for (const Shard& shard : shards_) {
+    events += shard.events_executed;
+    stats_.end_time = std::max(stats_.end_time, shard.last_event_time);
+    stats_.max_queue_depth = std::max(stats_.max_queue_depth, shard.max_depth);
+  }
+  SimMetrics& metrics = SimMetrics::get();
+  VGBL_COUNT(metrics.events, events - stats_.events);
+  stats_.events = events;
+  VGBL_GAUGE_SET(metrics.queue_depth, static_cast<f64>(stats_.max_queue_depth));
   if (obs::enabled()) {
     const f64 elapsed = static_cast<f64>(obs::wall_now_us() - t0_us) / 1e6;
     VGBL_GAUGE_SET(metrics.events_per_sec,
                    elapsed > 0 ? static_cast<f64>(stats_.events) / elapsed
                                : 0);
+    if (timeline.now() < stats_.end_time) timeline.advance_to(stats_.end_time);
   }
   return stats_;
 }

@@ -1,19 +1,19 @@
 // Discrete-event simulation core (DESIGN.md §5i): one virtual timeline, a
-// sharded priority event queue, and actors that advance by scheduling
-// their own next firing. A simulated student is an event stream, not a
-// thread — which is what lets a district workload hold 100k+ concurrent
-// students in one process (ROADMAP: district-scale simulation).
+// sharded event queue, and actors that advance by scheduling their own
+// next firing. A simulated student is an event stream, not a thread —
+// which is what lets a district workload hold 100k+ concurrent students
+// in one process (ROADMAP: district-scale simulation).
 //
-// Determinism contract. Global execution order is the lexicographic key
-// (time, shard, actor, seq): `time` is sim time, `shard` the event-queue
-// shard, `actor` the scheduling actor, and `seq` a per-shard monotone
-// counter that makes every key unique. Shards execute an epoch
-// [t, t + epoch_width) in parallel with no cross-shard interaction;
-// cross-actor messages (`Context::post`) are buffered per shard and merged
-// at the epoch barrier in (delivery time, sender, sender-seq) order, so
-// delivery order — and therefore every downstream bit — is invariant
-// across shard and worker-thread counts for a fixed epoch width. Within a
-// shard, self-scheduled events are totally ordered by the key alone.
+// Determinism contract. Actors never touch each other: an actor schedules
+// only its own next firing, on its own shard. Each shard is therefore an
+// independent event queue, and run() drains each one to completion —
+// shard after shard on the calling thread, or one shard per task across
+// the worker pool. Within a shard, events execute in (time, actor, seq)
+// order: `time` is sim time, `actor` the scheduling actor, and `seq` a
+// per-shard monotone counter that makes every key unique. An actor's
+// event stream depends only on its own state, so it — and every result
+// built from it — is bit-identical across shard counts, worker-thread
+// counts and drain orders.
 #pragma once
 
 #include <memory>
@@ -33,46 +33,33 @@ namespace vgbl::sim {
 using ActorId = u32;
 inline constexpr ActorId kInvalidActor = ~0u;
 
-/// One scheduled firing, keyed (time, shard, actor, seq).
+/// One scheduled firing, keyed (time, actor, seq) within its shard.
 struct Event {
   MicroTime time = 0;
-  u32 shard = 0;
   ActorId actor = kInvalidActor;
   u64 seq = 0;
-  /// Actor-defined discriminator for multi-stream actors.
-  u64 tag = 0;
 };
 
-/// Min-heap ordering over the (time, shard, actor, seq) key.
+/// Min-heap ordering over the (time, actor, seq) key.
 struct EventAfter {
   bool operator()(const Event& a, const Event& b) const {
-    return std::tie(b.time, b.shard, b.actor, b.seq) <
-           std::tie(a.time, a.shard, a.actor, a.seq);
+    return std::tie(b.time, b.actor, b.seq) < std::tie(a.time, a.actor, a.seq);
   }
 };
 
 class Scheduler;
 
 /// What an actor sees while one of its events fires. Scheduling through
-/// the context touches only the firing shard's own queue/outbox, so no
-/// locking exists anywhere on the hot path.
+/// the context touches only the firing shard's own queue, so no locking
+/// exists anywhere on the hot path.
 class Context {
  public:
   [[nodiscard]] MicroTime now() const { return event_->time; }
-  [[nodiscard]] u64 tag() const { return event_->tag; }
   [[nodiscard]] ActorId self() const { return event_->actor; }
 
   /// Schedules this actor's next firing at sim time `at` (clamped to now —
   /// the timeline never runs backwards) on its own shard.
-  void schedule(MicroTime at, u64 tag = 0);
-
-  /// Posts a message-event to another actor (any shard). Delivery is
-  /// deferred to the epoch barrier and happens at
-  /// max(at, end of the posting epoch), merged across shards in
-  /// (delivery time, sender, sender-seq) order — the cross-shard
-  /// determinism contract. Same-shard posts take the identical path so
-  /// results cannot depend on the actor-to-shard mapping.
-  void post(ActorId to, MicroTime at, u64 tag = 0);
+  void schedule(MicroTime at);
 
  private:
   friend class Scheduler;
@@ -82,8 +69,7 @@ class Context {
 };
 
 /// An event-driven participant in the timeline. Actors own their state and
-/// must touch nothing shared during on_event — cross-actor communication
-/// goes through Context::post.
+/// must touch nothing another actor touches during on_event.
 class Actor {
  public:
   virtual ~Actor() = default;
@@ -94,20 +80,18 @@ struct SchedulerOptions {
   /// Event-queue shards (>= 1). Results are bit-identical across any
   /// shard count; more shards expose more parallelism.
   u32 shards = 1;
-  /// Worker threads running shards concurrently. 0 runs every shard on
-  /// the calling thread (still epoch-ordered, still the same bits).
+  /// Worker threads draining shards concurrently. 0 drains every shard on
+  /// the calling thread, in shard order (still the same bits).
   int worker_threads = 0;
-  /// Parallel window width. Part of the cross-shard message contract:
-  /// posts land at epoch boundaries, so changing the width can reorder
-  /// mail delivery (shard and thread counts cannot).
-  MicroTime epoch_width = milliseconds(100);
 };
 
 struct SchedulerStats {
   u64 events = 0;           ///< events executed
-  u64 epochs = 0;           ///< parallel windows run
-  u64 mails_delivered = 0;  ///< cross-actor messages merged at barriers
-  u64 max_queue_depth = 0;  ///< peak pending events across shards
+  /// Always 0: shards drain independently, with no epochs and no mail.
+  /// Kept because perfbench still reports both.
+  u64 epochs = 0;
+  u64 mails_delivered = 0;
+  u64 max_queue_depth = 0;  ///< largest queue one shard held
   MicroTime end_time = 0;   ///< time of the last executed event
 };
 
@@ -128,12 +112,11 @@ class Scheduler {
 
   /// Seeds an actor's first firing before run(). (During run, actors
   /// schedule through their Context.)
-  void schedule(ActorId actor, MicroTime at, u64 tag = 0);
+  void schedule(ActorId actor, MicroTime at);
 
-  /// Drains the timeline: epochs of parallel shard execution separated by
-  /// merge barriers, until no events remain. Obs gauges (queue depth,
-  /// epoch width, events/sec) are updated only at barriers, on the
-  /// coordinating thread.
+  /// Drains every shard's queue to completion. Stats and obs gauges
+  /// (queue depth, events/sec) are updated once every shard has drained,
+  /// on the calling thread.
   SchedulerStats run();
 
   [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
@@ -141,34 +124,20 @@ class Scheduler {
  private:
   friend class Context;
 
-  /// A cross-actor message buffered until the epoch barrier.
-  struct Mail {
-    MicroTime at = 0;
-    ActorId to = kInvalidActor;
-    u64 tag = 0;
-    ActorId from = kInvalidActor;
-    u64 from_seq = 0;
-  };
-
   struct Shard {
     std::priority_queue<Event, std::vector<Event>, EventAfter> queue;
     u64 next_seq = 0;
-    u64 mail_seq = 0;
-    std::vector<Mail> outbox;
+    u64 max_depth = 0;
     u64 events_executed = 0;
     /// Sim time of this shard's last executed event (monotone within the
-    /// shard; events pop in key order). Folded into stats at barriers.
+    /// shard; events pop in key order).
     MicroTime last_event_time = 0;
   };
 
-  void push_event(u32 shard, MicroTime at, ActorId actor, u64 tag);
-  /// Executes one shard's events with time < epoch_end, in key order.
-  void run_shard(u32 shard, MicroTime epoch_end);
-  /// Merges all outboxes deterministically into destination shards.
-  void deliver_mail(MicroTime epoch_end);
-  [[nodiscard]] u64 pending_events() const;
+  void push_event(u32 shard, MicroTime at, ActorId actor);
+  /// Executes one shard's events in key order until its queue is empty.
+  void run_shard(u32 shard);
 
-  SchedulerOptions options_;
   std::vector<Shard> shards_;
   struct ActorRec {
     Actor* actor = nullptr;

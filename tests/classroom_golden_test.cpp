@@ -88,8 +88,8 @@ ClassroomOptions base_options(u64 seed,
 }
 
 /// Every pin must hold on each arm: shards {1, 2, 8} vary how students
-/// spread over event queues, threads {0, 2} cross the serial and
-/// ThreadPool epoch execution.
+/// spread over event queues, threads {0, 2} cross draining the shards one
+/// after another on the calling thread and concurrently on a ThreadPool.
 struct Grid {
   int shards;
   int threads;

@@ -2,8 +2,9 @@
 // concurrent shards on a live ThreadPool while a scraper thread reads the
 // global metrics registry mid-run, and hold the district fingerprint
 // bit-identical across thread/shard placements. The TSan tree must stay
-// clean — the scheduler's epoch barrier is the only synchronisation
-// between shards, so any missed edge shows up here.
+// clean — shards share nothing while they drain, and the pool's join at
+// the end of the run is the only synchronisation between them, so any
+// missed edge shows up here.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -478,12 +478,10 @@ TEST(LintXtuLockOrder, CrossFileCycleFires) {
 }
 
 TEST(LintXtuLockOrder, DeclaredOrdersAreCleanAndObserved) {
-  // The BadgeStore-shaped fixture takes journal before shard and the
-  // SessionStore-shaped one shard before log — exactly the declared
-  // `order` facts. No cycle; and under require_facts both facts count as
-  // observed (no staleness finding for the lock rule).
+  // The SessionStore-shaped fixture takes shard before log — exactly the
+  // declared `order` fact. No cycle; and under require_facts the fact
+  // counts as observed (no staleness finding for the lock rule).
   const std::vector<SourceFile> set = {
-      xtu("lock_good_store.cpp", "src/rewards/xtu_badge_store.cpp"),
       xtu("session_log_good.cpp", "src/persist/xtu_session_store.cpp"),
   };
   EXPECT_TRUE(lint_tree(set, repo_rules()).empty());
@@ -496,24 +494,6 @@ TEST(LintXtuLockOrder, DeclaredOrdersAreCleanAndObserved) {
       of_rule(lint_tree(set, repo_rules(), strict), "lock-order-cycle");
   EXPECT_TRUE(findings.empty())
       << (findings.empty() ? "" : format_finding(findings.front()));
-}
-
-TEST(LintXtuLockOrder, DeclaredOrderInversionFires) {
-  // Nesting journal under shard has no cycle among observed edges — the
-  // injected journal-before-shard fact edge is what closes it.
-  const std::vector<SourceFile> set = {
-      xtu("lock_inversion_store.cpp", "src/rewards/xtu_badge_store.cpp"),
-  };
-  const auto findings = lint_tree(set, repo_rules());
-  expect_only(findings, "lock-order-cycle");
-  ASSERT_EQ(findings.size(), 1u);
-  const std::string& msg = findings.front().message;
-  for (const char* part :
-       {"BadgeStore::journal_mutex_", "BadgeStore::shard.mutex",
-        "declared order fact"}) {
-    EXPECT_NE(msg.find(part), std::string::npos)
-        << "missing '" << part << "' in: " << msg;
-  }
 }
 
 TEST(LintXtuLockOrder, SessionLogOrderInversionFires) {
@@ -559,7 +539,7 @@ TEST(LintEngine, ParallelScanOutputIsDeterministic) {
       xtu("taint_bad_clock.cpp", "src/util/xtu_clock.cpp"),
       xtu("lock_bad_a.cpp", "src/persist/xtu_lock_a.cpp"),
       xtu("lock_bad_b.cpp", "src/persist/xtu_lock_b.cpp"),
-      xtu("lock_inversion_store.cpp", "src/rewards/xtu_badge_store.cpp"),
+      xtu("session_log_inversion.cpp", "src/persist/xtu_session_store.cpp"),
       xtu("nodiscard_bad.hpp", "src/util/xtu_parse.hpp"),
       xtu("nodiscard_bad.cpp", "src/util/xtu_parse.cpp"),
       {"src/core/wallclock_bad.cpp", fixture("wallclock_bad.cpp")},

@@ -2,9 +2,9 @@
 // a 64-student threaded classroom while a scraper thread renders live
 // leaderboards and Prometheus exports. Built to run under
 // VGBL_SANITIZE=thread (ctest label `tsan`); without a sanitizer it still
-// checks the same functional invariants — the store's journal->shard lock
-// order and the sharded student maps must keep every interleaving both
-// race-free and deterministic in outcome.
+// checks the same functional invariants — the store's one mutex over its
+// journal and student records must keep every interleaving both race-free
+// and deterministic in outcome.
 #include <gtest/gtest.h>
 
 #include <atomic>

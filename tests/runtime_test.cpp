@@ -267,9 +267,10 @@ oracle_bundles() {
 
 TEST(SessionTest, ObjectAtMatchesLinearOracleOnEveryScenario) {
   // Every scenario of every demo and gen-corpus bundle, entered through a
-  // save-state jump, at the first, middle and last frame of its segment,
-  // under three visibility states: as authored, every other object hidden,
-  // and every object revealed (the overrides hide/reveal actions set).
+  // captured-state jump, at the first, middle and last frame of its
+  // segment, under three visibility states: as authored, every other object
+  // hidden, and every object revealed (the overrides hide/reveal actions
+  // set).
   for (const auto& [name, bundle] : oracle_bundles()) {
     for (const Scenario& scenario : bundle->graph.scenarios()) {
       const ContainerSegment* seg = bundle->video->segment_by_id(scenario.segment);
@@ -277,23 +278,27 @@ TEST(SessionTest, ObjectAtMatchesLinearOracleOnEveryScenario) {
       const ScenarioObjects* scene = bundle->objects_of(scenario.id);
       ASSERT_NE(scene, nullptr);
       for (int mode = 0; mode < 3; ++mode) {
-        JsonArray overrides;
+        std::vector<SessionState::VisibilityOverride> overrides;
         for (size_t k = 0; k < scene->paint_order.size() && mode > 0; ++k) {
-          Json oj = Json::object();
-          oj.mutable_object().set(
-              "object", Json(bundle->objects[scene->paint_order[k]].id.value));
-          oj.mutable_object().set("visible", Json(mode == 2 || k % 2 == 0));
-          overrides.push_back(std::move(oj));
+          overrides.push_back({bundle->objects[scene->paint_order[k]].id.value,
+                               mode == 2 || k % 2 == 0});
         }
         for (const int frame : {0, seg->frame_count / 2, seg->frame_count - 1}) {
           SimClock clock;
           GameSession session(bundle, &clock);
           ASSERT_TRUE(session.start().ok());
-          Json snap = session.save_state();
-          snap.mutable_object().set("current_scenario", Json(scenario.id.value));
-          snap.mutable_object().set("game_over", Json(false));
-          snap.mutable_object().set("visibility", Json(overrides));
-          ASSERT_TRUE(session.load_state(snap).ok());
+          SessionState jump = session.capture_state();
+          jump.scenario = scenario.id;
+          jump.game_over = false;
+          jump.scenario_entered_at = clock.now();
+          jump.segment_end_fired = false;
+          jump.player_active = true;
+          jump.player_start = clock.now();
+          jump.timers.clear();
+          jump.in_dialogue = false;
+          jump.in_quiz = false;
+          jump.visibility = overrides;
+          ASSERT_TRUE(session.restore_state(jump).ok());
           const MicroTime fps = bundle->video->fps();
           clock.advance((static_cast<MicroTime>(frame) * 1'000'000 + fps - 1) /
                         fps);
@@ -652,63 +657,6 @@ TEST(SessionTimerTest, SegmentEndFiresOnce) {
   clock.advance(seconds(1));
   session.tick();  // must not fire again
   EXPECT_EQ(session.event_log().size(), log_size);
-}
-
-// --- Save / load -----------------------------------------------------------------
-
-TEST(SessionSaveTest, RoundTripRestoresState) {
-  SimClock clock;
-  GameSession session(classroom_bundle(), &clock);
-  (void)session.start();
-  (void)session.click(object_center(session, "teacher"));
-  (void)session.choose_dialogue(0);
-  (void)session.advance_dialogue();
-  (void)session.examine(object_center(session, "computer"));
-  (void)session.click(object_center(session, "GO MARKET"));
-  (void)session.click(object_center(session, "psu_box"));
-  const Json save = session.save_state();
-
-  // Fresh session, restore.
-  SimClock clock2;
-  GameSession restored(classroom_bundle(), &clock2);
-  ASSERT_TRUE(restored.load_state(save).ok());
-  EXPECT_EQ(restored.current_scenario_info()->name, "market");
-  EXPECT_TRUE(restored.flag("mission_accepted"));
-  EXPECT_TRUE(restored.flag("found_problem"));
-  const ItemDef* part = restored.bundle().items.find_by_name("psu_part");
-  EXPECT_TRUE(restored.inventory().has(part->id));
-  EXPECT_EQ(restored.score(), session.score());
-
-  // And the restored session can finish the game.
-  (void)restored.click(object_center(restored, "BACK TO CLASS"));
-  ASSERT_TRUE(restored
-                  .use_item_on(part->id, object_center(restored, "computer"))
-                  .ok());
-  EXPECT_TRUE(restored.succeeded());
-}
-
-TEST(SessionSaveTest, SaveIsStableJson) {
-  SimClock clock;
-  GameSession session(classroom_bundle(), &clock);
-  (void)session.start();
-  const std::string a = session.save_state().dump(-1);
-  const std::string b = session.save_state().dump(-1);
-  EXPECT_EQ(a, b);
-  // Round-trips through text.
-  auto parsed = Json::parse(a);
-  ASSERT_TRUE(parsed.ok());
-  SimClock clock2;
-  GameSession restored(classroom_bundle(), &clock2);
-  EXPECT_TRUE(restored.load_state(parsed.value()).ok());
-}
-
-TEST(SessionSaveTest, CorruptSaveRejected) {
-  SimClock clock;
-  GameSession session(classroom_bundle(), &clock);
-  EXPECT_FALSE(session.load_state(Json(5)).ok());
-  Json bad = Json::object();
-  bad.mutable_object().set("current_scenario", Json(9999));
-  EXPECT_FALSE(session.load_state(bad).ok());
 }
 
 // --- Reveal / hide -----------------------------------------------------------------

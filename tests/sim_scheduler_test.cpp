@@ -1,7 +1,8 @@
 // Unit coverage for the DES core (src/sim/scheduler): the
-// (time, shard, actor, seq) ordering contract, timeline clamping, the
-// epoch-barrier mail merge, and — the load-bearing property — bit-identical
-// execution traces across shard counts and worker-thread counts.
+// (time, actor, seq) ordering contract, timeline clamping, shards drained
+// to completion one after another, and — the load-bearing property —
+// bit-identical execution traces across shard counts and worker-thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,8 +14,8 @@
 namespace vgbl::sim {
 namespace {
 
-/// Records every firing into a shared, globally ordered log (safe only on
-/// single-shard schedulers, where execution is fully serial).
+/// Records every firing into a shared, globally ordered log (safe only
+/// without worker threads, where execution is fully serial).
 struct GlobalLogActor : Actor {
   std::vector<std::pair<ActorId, MicroTime>>* log = nullptr;
   int repeats = 0;
@@ -29,13 +30,13 @@ struct GlobalLogActor : Actor {
 /// Records its own firings locally (safe on any shard layout: an actor's
 /// state is only ever touched by its own events).
 struct LocalLogActor : Actor {
-  std::vector<std::pair<MicroTime, u64>> log;
+  std::vector<MicroTime> log;
   int repeats = 0;
   MicroTime interval = milliseconds(1);
 
   void on_event(Context& ctx) override {
-    log.emplace_back(ctx.now(), ctx.tag());
-    if (repeats-- > 0) ctx.schedule(ctx.now() + interval, ctx.tag());
+    log.push_back(ctx.now());
+    if (repeats-- > 0) ctx.schedule(ctx.now() + interval);
   }
 };
 
@@ -81,85 +82,82 @@ TEST(SimScheduler, ScheduleIntoThePastClampsToNow) {
   EXPECT_EQ(actor.fired[1], milliseconds(30));
 }
 
-TEST(SimScheduler, MailDeliveryWaitsForTheEpochBarrier) {
-  // Sender posts at its own firing time; the receiver must not see it
-  // before the end of the sender's epoch — the price of running shards in
-  // parallel without locks.
-  struct Sender : Actor {
-    ActorId peer = kInvalidActor;
-    void on_event(Context& ctx) override { ctx.post(peer, ctx.now(), 7); }
-  };
-  struct Receiver : Actor {
-    std::vector<std::pair<MicroTime, u64>> got;
-    void on_event(Context& ctx) override {
-      got.emplace_back(ctx.now(), ctx.tag());
-    }
-  };
-  const MicroTime width = milliseconds(10);
-  Scheduler scheduler(
-      SchedulerOptions{.shards = 2, .epoch_width = width});
-  Sender sender;
-  Receiver receiver;
-  const ActorId sid = scheduler.add_actor(&sender, 0);
-  sender.peer = scheduler.add_actor(&receiver, 1);
-  scheduler.schedule(sid, milliseconds(3));
+TEST(SimScheduler, StatsCountEventsEndTimeAndQueueDepth) {
+  Scheduler scheduler(SchedulerOptions{.shards = 2});
+  LocalLogActor a;
+  a.repeats = 9;
+  LocalLogActor b;
+  LocalLogActor c;
+  const ActorId ida = scheduler.add_actor(&a, 0);
+  const ActorId idb = scheduler.add_actor(&b, 1);
+  const ActorId idc = scheduler.add_actor(&c, 1);
+  scheduler.schedule(ida, 0);
+  // Shard 1 holds four pending events at once; shard 0 never more than one.
+  for (const ActorId id : {idb, idc}) {
+    scheduler.schedule(id, 0);
+    scheduler.schedule(id, milliseconds(5));
+  }
   const SchedulerStats stats = scheduler.run();
-
-  ASSERT_EQ(receiver.got.size(), 1u);
-  // Posted at t=3ms; its epoch spans [3ms, 3ms + width), so the mail
-  // lands exactly at that barrier.
-  EXPECT_EQ(receiver.got[0].first, milliseconds(3) + width);
-  EXPECT_EQ(receiver.got[0].second, 7u);
-  EXPECT_EQ(stats.mails_delivered, 1u);
-  EXPECT_EQ(stats.events, 2u);
-}
-
-TEST(SimScheduler, StatsCountEventsAndEpochs) {
-  Scheduler scheduler(SchedulerOptions{.shards = 1});
-  LocalLogActor actor;
-  actor.repeats = 9;
-  const ActorId id = scheduler.add_actor(&actor);
-  scheduler.schedule(id, 0);
-  const SchedulerStats stats = scheduler.run();
-  EXPECT_EQ(stats.events, 10u);
-  EXPECT_GE(stats.epochs, 1u);
-  EXPECT_EQ(stats.end_time, actor.log.back().first);
+  EXPECT_EQ(stats.events, 14u);
+  EXPECT_EQ(stats.end_time, milliseconds(9));
+  EXPECT_EQ(stats.end_time, a.log.back());
+  EXPECT_EQ(stats.max_queue_depth, 4u);
   EXPECT_EQ(scheduler.stats().events, stats.events);
 }
 
+TEST(SimScheduler, ShardsDrainToCompletionInShardOrder) {
+  // With no worker threads, shard 0 drains completely before shard 1
+  // starts, even though shard 1's only event is earlier than shard 0's
+  // last: shards are independent queues, so one shard's actors are done
+  // (and their sessions released) before the next shard's begin.
+  Scheduler scheduler(SchedulerOptions{.shards = 2});
+  std::vector<std::pair<ActorId, MicroTime>> log;
+  GlobalLogActor first;
+  first.log = &log;
+  GlobalLogActor second;
+  second.log = &log;
+  const ActorId id0 = scheduler.add_actor(&first, 0);
+  const ActorId id1 = scheduler.add_actor(&second, 1);
+  scheduler.schedule(id0, 0);
+  scheduler.schedule(id0, milliseconds(200));
+  scheduler.schedule(id1, milliseconds(100));
+  scheduler.run();
+
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0], std::make_pair(id0, MicroTime{0}));
+  EXPECT_EQ(log[1], std::make_pair(id0, milliseconds(200)));
+  EXPECT_EQ(log[2], std::make_pair(id1, milliseconds(100)));
+}
+
 /// The contract bench_district leans on: per-actor event streams are
-/// bit-identical across shard counts and worker-thread counts, including
-/// cross-shard mail. Ping-pong pairs force mail through the merge path.
+/// bit-identical across shard counts and worker-thread counts. Each actor
+/// picks its next interval from its own history, so a stream that saw
+/// another actor's state would diverge.
 TEST(SimScheduler, TracesAreInvariantAcrossShardsAndThreads) {
-  struct Pinger : Actor {
-    ActorId peer = kInvalidActor;
+  struct Walker : Actor {
+    int id = 0;
     int remaining = 0;
     std::vector<MicroTime> fired;
     void on_event(Context& ctx) override {
       fired.push_back(ctx.now());
       if (remaining-- > 0) {
-        ctx.post(peer, ctx.now() + milliseconds(4), ctx.tag());
+        const auto step = static_cast<MicroTime>(
+            1 + (id * 7 + static_cast<int>(fired.size()) * 3) % 5);
+        ctx.schedule(ctx.now() + milliseconds(step));
       }
     }
   };
   constexpr int kActors = 12;
 
   auto run = [&](u32 shards, int threads) {
-    Scheduler scheduler(SchedulerOptions{
-        .shards = shards, .worker_threads = threads,
-        .epoch_width = milliseconds(10)});
-    std::vector<std::unique_ptr<Pinger>> actors;
-    std::vector<ActorId> ids;
+    Scheduler scheduler(
+        SchedulerOptions{.shards = shards, .worker_threads = threads});
+    std::vector<std::unique_ptr<Walker>> actors;
     for (int i = 0; i < kActors; ++i) {
-      actors.push_back(std::make_unique<Pinger>());
+      actors.push_back(std::make_unique<Walker>());
+      actors.back()->id = i;
       actors.back()->remaining = 5 + i % 3;
-      ids.push_back(scheduler.add_actor(actors.back().get()));
-    }
-    for (int i = 0; i < kActors; ++i) {
-      // Pair i with its neighbour, mixing self-stream and mail traffic.
-      actors[static_cast<size_t>(i)]->peer =
-          ids[static_cast<size_t>((i + 1) % kActors)];
-      scheduler.schedule(ids[static_cast<size_t>(i)],
+      scheduler.schedule(scheduler.add_actor(actors.back().get()),
                          milliseconds(i % 4));
     }
     scheduler.run();
@@ -169,23 +167,12 @@ TEST(SimScheduler, TracesAreInvariantAcrossShardsAndThreads) {
   };
 
   const auto baseline = run(1, 0);
-  for (u32 shards : {2u, 3u, 8u}) {
+  for (u32 shards : {1u, 2u, 3u, 8u}) {
     for (int threads : {0, 2}) {
       EXPECT_EQ(run(shards, threads), baseline)
           << shards << " shards, " << threads << " threads diverged";
     }
   }
-}
-
-TEST(SimScheduler, TagsTravelWithSelfScheduledEvents) {
-  Scheduler scheduler(SchedulerOptions{.shards = 1});
-  LocalLogActor actor;
-  actor.repeats = 2;
-  const ActorId id = scheduler.add_actor(&actor);
-  scheduler.schedule(id, 0, 42);
-  scheduler.run();
-  ASSERT_EQ(actor.log.size(), 3u);
-  for (const auto& [time, tag] : actor.log) EXPECT_EQ(tag, 42u);
 }
 
 }  // namespace
